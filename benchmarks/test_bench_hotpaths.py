@@ -10,7 +10,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.core.belief import vector_belief_pass
+from repro.core.belief import guarded_belief_pass
 from repro.dns.message import Message, QType
 from repro.dns.name import Name
 from repro.dns.rootserver import RootServer, RootZone
@@ -27,15 +27,15 @@ def count_matrix():
     return counts
 
 
-def test_bench_vector_belief_pass(benchmark, count_matrix):
+def test_bench_guarded_belief_pass(benchmark, count_matrix):
     """Filter 5,000 blocks x 288 five-minute bins (one day)."""
     n_blocks = count_matrix.shape[0]
     p_empty = np.full(n_blocks, 0.01)
     noise = np.full(n_blocks, 1e-5)
     prior_down = np.full(n_blocks, 0.002)
     prior_up = np.full(n_blocks, 0.08)
-    states, _ = benchmark(vector_belief_pass, count_matrix, p_empty, noise,
-                          prior_down, prior_up)
+    states, _, _ = benchmark(guarded_belief_pass, count_matrix, p_empty,
+                             noise, prior_down, prior_up)
     assert states.shape == count_matrix.shape
 
 

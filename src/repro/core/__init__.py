@@ -6,7 +6,6 @@ from .belief import (
     BELIEF_FLOOR,
     BeliefState,
     guarded_belief_pass,
-    vector_belief_pass,
 )
 from .checkpoint import (
     CheckpointFormatError,
@@ -18,7 +17,6 @@ from .checkpoint import (
 from .correlation import (
     CorroboratedEvent,
     corroborate_events,
-    fuse_beliefs,
     fuse_timelines,
 )
 from .detector import BlockResult, PassiveDetector, StreamingDetector
@@ -62,7 +60,6 @@ __all__ = [
     "BELIEF_FLOOR",
     "BeliefState",
     "guarded_belief_pass",
-    "vector_belief_pass",
     "BlockDataError",
     "DeadLetterEntry",
     "DeadLetterRegistry",
@@ -74,7 +71,6 @@ __all__ = [
     "inputs_digest",
     "CorroboratedEvent",
     "corroborate_events",
-    "fuse_beliefs",
     "fuse_timelines",
     "BlockResult",
     "PassiveDetector",

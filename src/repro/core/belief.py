@@ -12,29 +12,39 @@ For non-empty bins the count magnitude is additionally informative for
 blocks with meaningful rates (many packets cannot be noise), handled by
 a capped count-likelihood ratio.
 
-Two implementations are provided and tested against each other:
+The recurrence is written once, in two forms pinned bit for bit:
 
-* :class:`BeliefState` — scalar, streaming, one block;
-* :func:`vector_belief_pass` — the whole population at once as numpy
-  recurrences over a (blocks x bins) count matrix, used by the batch
-  detector so a simulated day over tens of thousands of blocks filters
-  in milliseconds.
+* the scalar oracles — :class:`BeliefState` (one block, one bin) and,
+  for multi-vantage fusion, :func:`bin_log_likelihood_ratio` plus
+  :func:`fused_posterior`;
+* the array kernels — :func:`columnar_update`, :func:`columnar_llr`
+  and :func:`columnar_fused_posterior` — which replicate the scalar
+  float operations in the same order over many blocks at once (numpy
+  ufuncs round identically for array and scalar operands).
+
+Every array path drives the kernels.  The batch passes
+(:func:`guarded_belief_pass`, :func:`fused_belief_pass`) call them once
+per bin over a whole population, and the streaming detector once per
+shared bin boundary over a cohort (:mod:`repro.core.columnar`).  The
+passes add only input screening around them: guardrail trips, masked
+entries and pinned rows.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .health import BlockDataError, GuardrailCounters
 from .parameters import BlockParameters
 
-__all__ = ["BeliefState", "vector_belief_pass", "guarded_belief_pass",
-           "bin_log_likelihood_ratio", "fused_posterior",
-           "fused_belief_pass", "BELIEF_FLOOR", "BELIEF_CEIL"]
+__all__ = ["BeliefState", "columnar_update", "guarded_belief_pass",
+           "bin_log_likelihood_ratio", "columnar_llr", "fused_posterior",
+           "columnar_fused_posterior", "fused_belief_pass",
+           "BELIEF_FLOOR", "BELIEF_CEIL"]
 
 #: Belief clamp bounds; keep strictly inside (0, 1) so evidence can
 #: always move the posterior back (no absorbing states).
@@ -138,50 +148,131 @@ class BeliefState:
         return self.is_up
 
 
-def vector_belief_pass(
-    counts: np.ndarray,
-    p_empty_up: np.ndarray,
-    noise_nonempty: np.ndarray,
-    prior_down: np.ndarray,
-    prior_up_recovery: np.ndarray,
-    down_threshold: float = 0.1,
-    up_threshold: float = 0.9,
-    initial_belief: Optional[np.ndarray] = None,
-    return_beliefs: bool = False,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Filter a whole population of blocks at once.
+def columnar_update(belief: np.ndarray, is_up: np.ndarray,
+                    counts: np.ndarray, p_empty: np.ndarray,
+                    noise_nonempty: np.ndarray, prior_down: np.ndarray,
+                    prior_up_recovery: np.ndarray,
+                    down_threshold: np.ndarray,
+                    up_threshold: np.ndarray,
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorised :meth:`BeliefState.update`: one bin for many blocks.
 
-    Parameters
-    ----------
-    counts:
-        ``(n_blocks, n_bins)`` arrival counts; all blocks in one call
-        must share a bin size (the detector groups them so).
-    p_empty_up:
-        P(empty bin | up): either a per-block vector of length
-        ``n_blocks`` or a ``(n_blocks, n_bins)`` matrix for
-        time-varying (diurnal-aware) likelihoods.
-    noise_nonempty, prior_down, prior_up_recovery:
-        per-block parameter vectors of length ``n_blocks``.
-    return_beliefs:
-        also return the full ``(n_blocks, n_bins)`` belief trajectory
-        (debugging / plotting; costs memory).
-
-    Returns
-    -------
-    (states, beliefs):
-        ``states`` is a boolean ``(n_blocks, n_bins)`` matrix of the
-        hysteresis up/down decision after each bin; ``beliefs`` is the
-        trajectory or None.
-
-    Poisoned inputs (non-finite counts or parameters) are masked rather
-    than propagated — see :func:`guarded_belief_pass` for the variant
-    that also reports *which* rows were poisoned.
+    Every branch of the scalar update is replicated operation for
+    operation, the no-evidence branch included: a non-finite or
+    negative count weighs 1 under both states.  ``p_empty`` must be
+    finite (the scalar form raises on it; callers screen it first).
+    Returns ``(new_belief, new_up, guardrail_trips)``.
     """
-    states, beliefs, _ = guarded_belief_pass(
-        counts, p_empty_up, noise_nonempty, prior_down, prior_up_recovery,
-        down_threshold=down_threshold, up_threshold=up_threshold,
-        initial_belief=initial_belief, return_beliefs=return_beliefs)
+    degenerate = (p_empty <= 0.0) | (p_empty >= 1.0)
+    p = p_empty
+    if np.count_nonzero(degenerate):
+        # The scalar oracle clamps ONLY the degenerate rows — an
+        # in-range p_empty is consumed at face value, however tiny.
+        p = np.where(degenerate,
+                     np.minimum(np.maximum(p_empty, _PROB_EPS),
+                                1.0 - _PROB_EPS),
+                     p_empty)
+    no_evidence = ~(counts >= 0)  # NaN compares False
+    if counts.dtype.kind == "f":
+        no_evidence |= np.isinf(counts)
+    predicted = (belief * (1.0 - prior_down)
+                 + (1.0 - belief) * prior_up_recovery)
+    empty = counts == 0
+    likelihood_up = np.where(empty, p, np.maximum(1.0 - p, 1e-3))
+    with np.errstate(all="ignore"):
+        discount = np.maximum(8.0 ** -(counts - 1),
+                              1.0 / _COUNT_RATIO_CAP)
+        likelihood_down = np.where(empty, 1.0 - noise_nonempty,
+                                   noise_nonempty * discount)
+        if np.count_nonzero(no_evidence):
+            likelihood_up = np.where(no_evidence, 1.0, likelihood_up)
+            likelihood_down = np.where(no_evidence, 1.0, likelihood_down)
+        numerator = predicted * likelihood_up
+        denominator = numerator + (1.0 - predicted) * likelihood_down
+        positive = denominator > 0
+        updated = np.where(positive,
+                           numerator / np.where(positive, denominator, 1.0),
+                           predicted)
+    updated = np.minimum(np.maximum(updated, BELIEF_FLOOR), BELIEF_CEIL)
+    new_up = np.where(is_up, updated > down_threshold,
+                      updated >= up_threshold)
+    return updated, new_up, degenerate.astype(np.int64) + no_evidence
+
+
+def _screen(counts: np.ndarray, p_empty: np.ndarray, noise: np.ndarray,
+            bad_params: np.ndarray, guardrails: GuardrailCounters,
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Trip the input guardrails of one batch pass (or one source).
+
+    Returns ``(no_evidence, bad_params)``: the count entries the
+    kernels treat as no evidence (non-finite or negative), and the rows
+    that cannot be filtered — ``bad_params`` widened by any non-finite
+    ``noise`` or ``p_empty`` entry.  Degenerate ``p_empty`` entries are
+    only counted here; the kernels clamp them.
+    """
+    nonfinite = ~np.isfinite(counts)
+    negative = counts < 0  # NaN compares False
+    guardrails.trip("nonfinite_count", int(nonfinite.sum()))
+    guardrails.trip("negative_count", int(negative.sum()))
+    finite_p = np.isfinite(p_empty)
+    bad_params = bad_params | ~np.isfinite(noise) | ~(
+        finite_p.all(axis=1) if finite_p.ndim == 2 else finite_p)
+    guardrails.trip("nonfinite_parameter", int(bad_params.sum()))
+    degenerate = finite_p & ((p_empty <= 0.0) | (p_empty >= 1.0))
+    guardrails.trip("degenerate_p_empty", int(degenerate.sum()))
+    return nonfinite | negative, bad_params
+
+
+def _run_bins(step: Callable[[int, np.ndarray, np.ndarray],
+                             Tuple[np.ndarray, np.ndarray]],
+              n_blocks: int, n_bins: int,
+              initial_belief: Optional[np.ndarray], return_beliefs: bool,
+              pinned: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Drive ``step(bin_index, belief, up) -> (belief, up)`` across the
+    bin grid; returns the ``(states, beliefs)`` trajectories.
+
+    A ``pinned`` row was filtered on substitute parameters and is not a
+    verdict: it is pinned "up" so no phantom events leak out should a
+    caller ignore the poisoned mask.  Rows poisoned only through their
+    counts keep the neutralised trajectory — bit-identical to the
+    scalar filter's no-evidence handling.
+    """
+    belief = np.full(n_blocks, BELIEF_CEIL)
+    if initial_belief is not None:
+        belief = np.clip(np.asarray(initial_belief, dtype=float),
+                         BELIEF_FLOOR, BELIEF_CEIL)
+    up = np.ones(n_blocks, dtype=bool)
+    states = np.empty((n_blocks, n_bins), dtype=bool)
+    beliefs = np.empty((n_blocks, n_bins)) if return_beliefs else None
+    for bin_index in range(n_bins):
+        belief, up = step(bin_index, belief, up)
+        states[:, bin_index] = up
+        if beliefs is not None:
+            beliefs[:, bin_index] = belief
+    if pinned.any():
+        states[pinned] = True
+        if beliefs is not None:
+            beliefs[pinned] = BELIEF_CEIL
     return states, beliefs
+
+
+def _record_pass(metrics: Optional[Any], path: str, bins: int,
+                 pass_clock: Optional[float]) -> None:
+    """Meter one batch pass.  The fused pass counts source-bins, so the
+    two passes write incomparable units; the ``path`` label keeps each
+    series a like-for-like baseline."""
+    if metrics is None:
+        return
+    metrics.counter(
+        "belief_bins_total",
+        "Bins filtered by the vectorised belief pass",
+        labelnames=("path",)).labels(path=path).inc(bins)
+    if pass_clock is not None:
+        metrics.histogram(
+            "belief_pass_seconds",
+            "Wall-time of one vectorised belief pass",
+            labelnames=("path",)).labels(path=path).observe(
+                _time.perf_counter() - pass_clock)
 
 
 def guarded_belief_pass(
@@ -197,27 +288,36 @@ def guarded_belief_pass(
     guardrails: Optional[GuardrailCounters] = None,
     metrics: Optional[Any] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """:func:`vector_belief_pass` plus poisoned-row accounting.
+    """Filter a whole population of blocks at once, one
+    :func:`columnar_update` per bin.
 
-    The vectorised recurrence is elementwise per block, but one NaN in
-    a count matrix historically produced NaN beliefs for that row and
-    (worse) NaN comparisons that silently decided "up" forever.  Here
-    every poisoned input is detected up front and *masked*:
+    ``counts`` is ``(n_blocks, n_bins)``; all blocks in one call share a
+    bin size (the detector groups them so).  ``p_empty_up`` is a
+    per-block vector or a ``(n_blocks, n_bins)`` matrix for
+    time-varying (diurnal-aware) likelihoods; ``noise_nonempty``,
+    ``prior_down`` and ``prior_up_recovery`` are per-block vectors.
+    ``return_beliefs`` also returns the full belief trajectory
+    (debugging / plotting; costs memory).
 
-    * a non-finite or negative count entry becomes a no-evidence bin
-      (likelihood 1 under both states — prediction only), mirroring the
-      scalar :meth:`BeliefState.update` guardrail;
+    One NaN in a count matrix once produced NaN beliefs for that row
+    and (worse) NaN comparisons that silently decided "up" forever.
+    Here every poisoned input is detected up front and *masked*:
+
+    * a non-finite or negative count entry is a no-evidence bin
+      (likelihood 1 under both states — prediction only), the scalar
+      :meth:`BeliefState.update` guardrail;
     * a degenerate likelihood (``p_empty_up`` at/beyond 0 or 1) is
       clamped strictly inside (0, 1);
     * a block whose *parameters* are non-finite cannot be filtered at
       all: its row is pinned to "up" (no events) and flagged.
 
-    Returns ``(states, beliefs, poisoned_rows)`` where
-    ``poisoned_rows`` is a boolean ``(n_blocks,)`` mask of rows whose
-    counts or parameters contained poison.  Callers that care about
-    containment (the batch detector) quarantine flagged rows into the
-    dead-letter registry; results for those rows are placeholders, not
-    verdicts.  ``guardrails``, when given, accumulates trip counts.
+    Returns ``(states, beliefs, poisoned_rows)``: the boolean
+    hysteresis up/down decision after each bin, the belief trajectory
+    or None, and a ``(n_blocks,)`` mask of rows whose counts or
+    parameters contained poison.  Callers that care about containment
+    (the batch detector) quarantine flagged rows into the dead-letter
+    registry; results for those rows are placeholders, not verdicts.
+    ``guardrails``, when given, accumulates trip counts.
 
     ``metrics``, when given, records the pass duration into the
     ``belief_pass_seconds`` histogram and the bins filtered into
@@ -242,34 +342,13 @@ def guarded_belief_pass(
         if np.shape(vector) != (n_blocks,):
             raise ValueError(f"{name} must have shape ({n_blocks},)")
 
-    # -- guardrails: find and neutralise poison up front ----------------
-    if counts.dtype.kind == "f":
-        bad_counts = ~np.isfinite(counts)
-        negative = counts < 0  # NaN compares False, so disjoint from bad
-    else:
-        bad_counts = np.zeros(counts.shape, dtype=bool)
-        negative = counts < 0
-    invalid_counts = bad_counts | negative
-    guardrails.trip("nonfinite_count", int(bad_counts.sum()))
-    guardrails.trip("negative_count", int(negative.sum()))
-
     noise_nonempty = np.asarray(noise_nonempty, dtype=float)
     prior_down = np.asarray(prior_down, dtype=float)
     prior_up_recovery = np.asarray(prior_up_recovery, dtype=float)
-    bad_params = (~np.isfinite(noise_nonempty) | ~np.isfinite(prior_down)
-                  | ~np.isfinite(prior_up_recovery))
-    if p_empty_up.ndim == 2:
-        bad_params |= ~np.isfinite(p_empty_up).all(axis=1)
-    else:
-        bad_params |= ~np.isfinite(p_empty_up)
-    guardrails.trip("nonfinite_parameter", int(bad_params.sum()))
-
-    degenerate = np.isfinite(p_empty_up) & ((p_empty_up <= 0.0)
-                                            | (p_empty_up >= 1.0))
-    guardrails.trip("degenerate_p_empty", int(degenerate.sum()))
-    if degenerate.any():
-        p_empty_up = np.clip(p_empty_up, _PROB_EPS, 1.0 - _PROB_EPS)
-
+    invalid_counts, bad_params = _screen(
+        counts, p_empty_up, noise_nonempty,
+        ~np.isfinite(prior_down) | ~np.isfinite(prior_up_recovery),
+        guardrails)
     poisoned = bad_params | invalid_counts.any(axis=1)
     guardrails.trip("masked_row", int(poisoned.sum()))
 
@@ -289,76 +368,19 @@ def guarded_belief_pass(
                               np.nan_to_num(prior_down, nan=0.0))
         prior_up_recovery = np.where(bad_params, 0.0,
                                      np.nan_to_num(prior_up_recovery, nan=0.0))
-    if invalid_counts.any():
-        counts = np.where(invalid_counts, 0, counts)
-
-    belief = np.full(n_blocks, BELIEF_CEIL)
-    if initial_belief is not None:
-        belief = np.clip(np.asarray(initial_belief, dtype=float),
-                         BELIEF_FLOOR, BELIEF_CEIL).copy()
-    up = np.ones(n_blocks, dtype=bool)
-    states = np.empty((n_blocks, n_bins), dtype=bool)
-    beliefs = np.empty((n_blocks, n_bins)) if return_beliefs else None
-
-    empty_down = 1.0 - noise_nonempty
     time_varying = p_empty_up.ndim == 2
 
-    for bin_index in range(n_bins):
-        column = counts[:, bin_index]
-        empty = column == 0
-        masked = invalid_counts[:, bin_index]
+    def step(bin_index: int, belief: np.ndarray,
+             up: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         p_empty = p_empty_up[:, bin_index] if time_varying else p_empty_up
-        # Prediction.
-        belief = belief * (1.0 - prior_down) + (1.0 - belief) * prior_up_recovery
-        # Correction.  A non-empty bin is near-proof of up even when the
-        # expected rate is tiny (quiet hour): floor its likelihood well
-        # above the noise term so arrivals always push toward up.  A
-        # masked (poisoned) entry carries no evidence either way.
-        likelihood_up = np.where(empty, p_empty,
-                                 np.maximum(1.0 - p_empty, 1e-3))
-        extra = np.maximum(column - 1, 0)
-        count_discount = np.maximum(
-            np.power(8.0, -extra.astype(float)), 1.0 / _COUNT_RATIO_CAP)
-        likelihood_down = np.where(empty, empty_down,
-                                   noise_nonempty * count_discount)
-        if masked.any():
-            likelihood_up = np.where(masked, 1.0, likelihood_up)
-            likelihood_down = np.where(masked, 1.0, likelihood_down)
-        numerator = belief * likelihood_up
-        denominator = numerator + (1.0 - belief) * likelihood_down
-        safe = denominator > 0
-        belief = np.where(safe, numerator / np.where(safe, denominator, 1.0),
-                          belief)
-        np.clip(belief, BELIEF_FLOOR, BELIEF_CEIL, out=belief)
-        # Hysteresis decision.
-        up = np.where(up, belief > down_threshold, belief >= up_threshold)
-        states[:, bin_index] = up
-        if beliefs is not None:
-            beliefs[:, bin_index] = belief
-    if bad_params.any():
-        # A row filtered on substitute parameters is not a verdict: pin
-        # it "up" so no phantom events leak out should a caller ignore
-        # the mask.  Rows poisoned only through their counts keep the
-        # neutralised trajectory — bit-identical to the scalar filter's
-        # no-evidence handling — and are reported for quarantine.
-        states[bad_params] = True
-        if beliefs is not None:
-            beliefs[bad_params] = BELIEF_CEIL
-    if metrics is not None:
-        # The fused pass counts source-bins (n_sources x blocks x bins),
-        # so the two passes write incomparable units; the ``path`` label
-        # keeps each series a like-for-like baseline.
-        metrics.counter(
-            "belief_bins_total",
-            "Bins filtered by the vectorised belief pass",
-            labelnames=("path",)).labels(path="single").inc(
-                n_blocks * n_bins)
-        if pass_clock is not None:
-            metrics.histogram(
-                "belief_pass_seconds",
-                "Wall-time of one vectorised belief pass",
-                labelnames=("path",)).labels(path="single").observe(
-                    _time.perf_counter() - pass_clock)
+        belief, up, _ = columnar_update(
+            belief, up, counts[:, bin_index], p_empty, noise_nonempty,
+            prior_down, prior_up_recovery, down_threshold, up_threshold)
+        return belief, up
+
+    states, beliefs = _run_bins(step, n_blocks, n_bins, initial_belief,
+                                return_beliefs, bad_params)
+    _record_pass(metrics, "single", n_blocks * n_bins, pass_clock)
     return states, beliefs, poisoned
 
 
@@ -401,6 +423,27 @@ def bin_log_likelihood_ratio(count: float, p_empty_up: float,
     return float(np.log(likelihood_up) - np.log(likelihood_down))
 
 
+def columnar_llr(counts: np.ndarray, p_empty: np.ndarray,
+                 noise_nonempty: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`bin_log_likelihood_ratio` (finite inputs).
+
+    Callers guarantee finite likelihood parameters and non-negative
+    counts (cohort admission and the batch screen do), so the
+    raise/no-evidence branches of the scalar form are unreachable.
+    """
+    p = np.minimum(np.maximum(p_empty, _PROB_EPS), 1.0 - _PROB_EPS)
+    noise = np.minimum(np.maximum(noise_nonempty, _PROB_EPS),
+                       1.0 - _PROB_EPS)
+    empty = counts == 0
+    with np.errstate(over="ignore", under="ignore"):
+        discount = np.maximum(8.0 ** -(counts - 1),
+                              1.0 / _COUNT_RATIO_CAP)
+    return np.where(
+        empty,
+        np.log(p) - np.log(1.0 - noise),
+        np.log(np.maximum(1.0 - p, 1e-3)) - np.log(noise * discount))
+
+
 def fused_posterior(belief: float, weighted_llr: float, prior_down: float,
                     prior_up_recovery: float) -> float:
     """One fused filter step: transition prior, then log-odds evidence.
@@ -420,6 +463,30 @@ def fused_posterior(belief: float, weighted_llr: float, prior_down: float,
     log_odds = np.log(predicted) - np.log1p(-predicted) + weighted_llr
     posterior = 1.0 / (1.0 + np.exp(-log_odds))
     return float(np.clip(posterior, BELIEF_FLOOR, BELIEF_CEIL))
+
+
+def columnar_fused_posterior(belief: np.ndarray, is_up: np.ndarray,
+                             weighted_llr: np.ndarray,
+                             prior_down: np.ndarray,
+                             prior_up_recovery: np.ndarray,
+                             down_threshold: np.ndarray,
+                             up_threshold: np.ndarray,
+                             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorised :func:`fused_posterior` + the fused hysteresis step.
+
+    Returns ``(posterior, new_up)``; the fused path trips no
+    guardrails (its clamps are silent, matching the scalar form).
+    """
+    predicted = (belief * (1.0 - prior_down)
+                 + (1.0 - belief) * prior_up_recovery)
+    predicted = np.minimum(np.maximum(predicted, BELIEF_FLOOR),
+                           BELIEF_CEIL)
+    log_odds = np.log(predicted) - np.log1p(-predicted) + weighted_llr
+    posterior = 1.0 / (1.0 + np.exp(-log_odds))
+    posterior = np.clip(posterior, BELIEF_FLOOR, BELIEF_CEIL)
+    new_up = np.where(is_up, posterior > down_threshold,
+                      posterior >= up_threshold)
+    return posterior, new_up
 
 
 def fused_belief_pass(
@@ -448,6 +515,11 @@ def fused_belief_pass(
     weight times a 0/1 participation mask).  Transition priors and
     hysteresis thresholds are shared (the lead source's per-block
     tuning).
+
+    Each source's evidence is one :func:`columnar_llr` matrix; each bin
+    sums ``weight * llr`` over the contributing sources, from zero and
+    in source order, and takes one :func:`columnar_fused_posterior`
+    step — the scalar streaming close, bit for bit.
 
     Guardrail semantics mirror :func:`guarded_belief_pass` per source:
     poisoned count entries contribute zero evidence, a block with
@@ -498,108 +570,49 @@ def fused_belief_pass(
             raise ValueError(
                 f"source {index}: weights must be ({n_bins},) or "
                 f"({n_blocks}, {n_bins})")
-        if counts.dtype.kind == "f":
-            bad_counts = ~np.isfinite(counts)
-            negative = counts < 0
-        else:
-            bad_counts = np.zeros(counts.shape, dtype=bool)
-            negative = counts < 0
-        invalid = bad_counts | negative
-        guardrails.trip("nonfinite_count", int(bad_counts.sum()))
-        guardrails.trip("negative_count", int(negative.sum()))
-        bad_params = ~np.isfinite(noise)
-        if p_empty.ndim == 2:
-            bad_params |= ~np.isfinite(p_empty).all(axis=1)
-        else:
-            bad_params |= ~np.isfinite(p_empty)
-        guardrails.trip("nonfinite_parameter", int(bad_params.sum()))
-        degenerate = np.isfinite(p_empty) & ((p_empty <= 0.0)
-                                             | (p_empty >= 1.0))
-        guardrails.trip("degenerate_p_empty", int(degenerate.sum()))
-        p_empty = np.clip(np.nan_to_num(p_empty, nan=0.5),
-                          _PROB_EPS, 1.0 - _PROB_EPS)
-        noise = np.clip(np.nan_to_num(noise, nan=0.5),
-                        _PROB_EPS, 1.0 - _PROB_EPS)
+        invalid, bad_params = _screen(counts, p_empty, noise,
+                                      np.zeros(n_blocks, dtype=bool),
+                                      guardrails)
         pinned |= bad_params
         poisoned |= bad_params | invalid.any(axis=1)
-        safe_counts = np.where(invalid, 0, counts)
-        empty = safe_counts == 0
-        if p_empty.ndim == 1:
-            p_empty = p_empty[:, None]
-        llr_empty = np.log(p_empty) - np.log(1.0 - noise)[:, None]
-        extra = np.maximum(safe_counts - 1, 0)
-        count_discount = np.maximum(
-            np.power(8.0, -extra.astype(float)), 1.0 / _COUNT_RATIO_CAP)
-        llr_nonempty = (np.log(np.maximum(1.0 - p_empty, 1e-3))
-                        - np.log(noise)[:, None] - np.log(count_discount))
-        llr = np.where(empty, llr_empty, llr_nonempty)
+        # Pinned rows get inert finite stand-ins; masked entries weigh 0.
+        p_empty = np.nan_to_num(p_empty, nan=0.5)
+        llr = columnar_llr(np.where(invalid, 0, counts),
+                           p_empty[:, None] if p_empty.ndim == 1 else p_empty,
+                           np.nan_to_num(noise, nan=0.5)[:, None])
         if invalid.any():
             llr = np.where(invalid, 0.0, llr)
         llr_by_source.append(llr)
         weight_rows.append(np.clip(np.nan_to_num(weights, nan=0.0), 0.0, 1.0))
     guardrails.trip("masked_row", int(poisoned.sum()))
 
-    safe_prior_down = np.where(np.isfinite(prior_down), prior_down, 0.0)
-    safe_prior_up = np.where(np.isfinite(prior_up_recovery),
-                             prior_up_recovery, 0.0)
+    prior_down = np.where(np.isfinite(prior_down), prior_down, 0.0)
+    prior_up_recovery = np.where(np.isfinite(prior_up_recovery),
+                                 prior_up_recovery, 0.0)
 
-    belief = np.full(n_blocks, BELIEF_CEIL)
-    if initial_belief is not None:
-        belief = np.clip(np.asarray(initial_belief, dtype=float),
-                         BELIEF_FLOOR, BELIEF_CEIL).copy()
-    up = np.ones(n_blocks, dtype=bool)
-    states = np.empty((n_blocks, n_bins), dtype=bool)
-    beliefs = np.empty((n_blocks, n_bins)) if return_beliefs else None
-
-    for bin_index in range(n_bins):
-        predicted = (belief * (1.0 - safe_prior_down)
-                     + (1.0 - belief) * safe_prior_up)
-        np.clip(predicted, BELIEF_FLOOR, BELIEF_CEIL, out=predicted)
-        log_odds = np.log(predicted) - np.log1p(-predicted)
+    def step(bin_index: int, belief: np.ndarray,
+             up: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        weighted = np.zeros(n_blocks)
         contributed = np.zeros(n_blocks, dtype=bool)
-        for source_index in range(n_sources):
-            weights = weight_rows[source_index]
-            weight = (weights[:, bin_index] if weights.ndim == 2
-                      else weights[bin_index])
+        for llr, weights in zip(llr_by_source, weight_rows):
+            weight = weights[..., bin_index]
             if np.max(weight) <= 0.0:
                 continue
             contributed |= weight > 0.0
-            log_odds += weight * llr_by_source[source_index][:, bin_index]
-        updated = 1.0 / (1.0 + np.exp(-log_odds))
-        np.clip(updated, BELIEF_FLOOR, BELIEF_CEIL, out=updated)
+            weighted = weighted + weight * llr[:, bin_index]
+        posterior, new_up = columnar_fused_posterior(
+            belief, up, weighted, prior_down, prior_up_recovery,
+            down_threshold, up_threshold)
         # An evidence-free bin (every source gated for this block) is a
         # freeze, not an update: letting the transition prior run free
         # would walk the belief toward its stationary point and
         # eventually cross the down threshold — a false onset
         # manufactured purely by the *observer's* failure.  Belief and
         # verdict hold until some vantage can see the block again.
-        belief = np.where(contributed, updated, belief)
-        up = np.where(contributed,
-                      np.where(up, belief > down_threshold,
-                               belief >= up_threshold),
-                      up)
-        states[:, bin_index] = up
-        if beliefs is not None:
-            beliefs[:, bin_index] = belief
-    if pinned.any():
-        # A row filtered on substitute parameters is not a verdict; rows
-        # poisoned only through counts keep the neutralised trajectory,
-        # matching :func:`guarded_belief_pass`.
-        states[pinned] = True
-        if beliefs is not None:
-            beliefs[pinned] = BELIEF_CEIL
-    if metrics is not None:
-        # Fused units are source-bins; label so fused runs never corrupt
-        # the single-source baseline in benchmark comparisons.
-        metrics.counter(
-            "belief_bins_total",
-            "Bins filtered by the vectorised belief pass",
-            labelnames=("path",)).labels(path="fused").inc(
-                n_sources * n_blocks * n_bins)
-        if pass_clock is not None:
-            metrics.histogram(
-                "belief_pass_seconds",
-                "Wall-time of one vectorised belief pass",
-                labelnames=("path",)).labels(path="fused").observe(
-                    _time.perf_counter() - pass_clock)
+        return (np.where(contributed, posterior, belief),
+                np.where(contributed, new_up, up))
+
+    states, beliefs = _run_bins(step, n_blocks, n_bins, initial_belief,
+                                return_beliefs, pinned)
+    _record_pass(metrics, "fused", n_sources * n_blocks * n_bins, pass_clock)
     return states, beliefs, poisoned

@@ -5,9 +5,12 @@ every ``_close_bin`` call runs ~20 scalar numpy operations per block.
 At population scale (the paper judges hundreds of thousands of /24s)
 the per-bin hot path must be a batched array operation — Trinocular's
 Bayesian rounds and Chocolatine's telescope-scale streaming both hinge
-on this.  This module holds the *data layout* and the *vectorised
-update kernels*; :class:`~repro.core.detector.StreamingDetector` owns
-the orchestration (which members close when, quarantine, hot swaps).
+on this.  This module holds the *data layout*: cohorts of members that
+share a parameter signature, as contiguous parameter columns.  The
+array kernels they feed live beside their scalar oracles in
+:mod:`repro.core.belief`; :class:`~repro.core.detector.StreamingDetector`
+owns the orchestration (which members close when, quarantine, hot
+swaps).
 
 Design contract — scalar is the oracle, columnar is the engine:
 
@@ -16,12 +19,10 @@ Design contract — scalar is the oracle, columnar is the engine:
   bins at the same boundaries the scalar loop would.  Only the *math*
   of simultaneous closes is batched, so audits, hot-swap boundaries,
   checkpoints, and partition splits observe bit-identical state.
-* Every array expression replicates the scalar float operations of
-  :meth:`repro.core.belief.BeliefState.update` (and the fused path's
-  :func:`~repro.core.belief.bin_log_likelihood_ratio` /
-  :func:`~repro.core.belief.fused_posterior`) in the same order; numpy
-  ufuncs produce bitwise-identical results for array and scalar
-  operands, which the property suite pins.
+* :func:`diurnal_p_empty` replicates the scalar likelihood choice
+  float for float, and the kernels replicate the scalar update, so a
+  batched close equals N scalar closes bit for bit (the property suite
+  pins it).
 * A member whose history or likelihood spec could make the scalar path
   *raise* (non-finite summary, malformed profile) is excluded from its
   cohort at build time and processed by the scalar loop in insertion
@@ -31,16 +32,14 @@ Design contract — scalar is the oracle, columnar is the engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from .belief import BELIEF_CEIL, BELIEF_FLOOR, _COUNT_RATIO_CAP, _PROB_EPS
 from .history import DIURNAL_SLOTS
 
 __all__ = ["Cohort", "build_cohorts", "diurnal_p_empty",
-           "columnar_update", "columnar_fused_posterior",
-           "columnar_llr", "history_is_clean"]
+           "history_is_clean"]
 
 
 def history_is_clean(history: Any) -> bool:
@@ -180,92 +179,3 @@ def diurnal_p_empty(cohort: Cohort, rows: np.ndarray,
     from_profile = np.exp(-rate * cohort.bin_seconds)
     return np.where(cohort.has_diurnal[rows], from_profile,
                     cohort.p_empty_up[rows])
-
-
-def columnar_update(belief: np.ndarray, is_up: np.ndarray,
-                    counts: np.ndarray, p_empty: np.ndarray,
-                    noise_nonempty: np.ndarray, prior_down: np.ndarray,
-                    prior_up_recovery: np.ndarray,
-                    down_threshold: np.ndarray,
-                    up_threshold: np.ndarray,
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised :meth:`BeliefState.update` over one cohort boundary.
-
-    Streaming counts are always finite non-negative ints, so the
-    no-evidence branch of the scalar update is unreachable here; every
-    other branch is replicated operation-for-operation.  Returns
-    ``(new_belief, new_up, guardrail_trips)``.
-    """
-    degenerate = (p_empty <= 0.0) | (p_empty >= 1.0)
-    # The scalar oracle clamps ONLY the degenerate rows — an in-range
-    # p_empty is consumed at face value, however tiny, so the clamp
-    # must not touch it (that was this PR's audited divergence).
-    p = np.where(degenerate,
-                 np.minimum(np.maximum(p_empty, _PROB_EPS),
-                            1.0 - _PROB_EPS),
-                 p_empty)
-    predicted = (belief * (1.0 - prior_down)
-                 + (1.0 - belief) * prior_up_recovery)
-    empty = counts == 0
-    likelihood_up = np.where(empty, p, np.maximum(1.0 - p, 1e-3))
-    with np.errstate(over="ignore", under="ignore"):
-        discount = np.maximum(8.0 ** -(counts - 1),
-                              1.0 / _COUNT_RATIO_CAP)
-    likelihood_down = np.where(empty, 1.0 - noise_nonempty,
-                               noise_nonempty * discount)
-    numerator = predicted * likelihood_up
-    denominator = numerator + (1.0 - predicted) * likelihood_down
-    with np.errstate(divide="ignore", invalid="ignore"):
-        updated = np.where(denominator > 0,
-                           numerator / np.where(denominator > 0,
-                                                denominator, 1.0),
-                           predicted)
-    updated = np.clip(updated, BELIEF_FLOOR, BELIEF_CEIL)
-    new_up = np.where(is_up, updated > down_threshold,
-                      updated >= up_threshold)
-    return updated, new_up, degenerate.astype(np.int64)
-
-
-def columnar_llr(counts: np.ndarray, p_empty: np.ndarray,
-                 noise_nonempty: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`bin_log_likelihood_ratio` (finite inputs).
-
-    Callers guarantee finite likelihood parameters and non-negative
-    integer counts (cohort admission does), so the raise/no-evidence
-    branches of the scalar form are unreachable.
-    """
-    p = np.minimum(np.maximum(p_empty, _PROB_EPS), 1.0 - _PROB_EPS)
-    noise = np.minimum(np.maximum(noise_nonempty, _PROB_EPS),
-                       1.0 - _PROB_EPS)
-    empty = counts == 0
-    with np.errstate(over="ignore", under="ignore"):
-        discount = np.maximum(8.0 ** -(counts - 1),
-                              1.0 / _COUNT_RATIO_CAP)
-    return np.where(
-        empty,
-        np.log(p) - np.log(1.0 - noise),
-        np.log(np.maximum(1.0 - p, 1e-3)) - np.log(noise * discount))
-
-
-def columnar_fused_posterior(belief: np.ndarray, is_up: np.ndarray,
-                             weighted_llr: np.ndarray,
-                             prior_down: np.ndarray,
-                             prior_up_recovery: np.ndarray,
-                             down_threshold: np.ndarray,
-                             up_threshold: np.ndarray,
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`fused_posterior` + the fused hysteresis step.
-
-    Returns ``(posterior, new_up)``; the fused path trips no
-    guardrails (its clamps are silent, matching the scalar form).
-    """
-    predicted = (belief * (1.0 - prior_down)
-                 + (1.0 - belief) * prior_up_recovery)
-    predicted = np.minimum(np.maximum(predicted, BELIEF_FLOOR),
-                           BELIEF_CEIL)
-    log_odds = np.log(predicted) - np.log1p(-predicted) + weighted_llr
-    posterior = 1.0 / (1.0 + np.exp(-log_odds))
-    posterior = np.clip(posterior, BELIEF_FLOOR, BELIEF_CEIL)
-    new_up = np.where(is_up, posterior > down_threshold,
-                      posterior >= up_threshold)
-    return posterior, new_up

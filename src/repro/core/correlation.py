@@ -1,16 +1,18 @@
 """Corroborating outage signals across sources and neighbours.
 
 The poster: "when possible, we correlate multiple signals from the same
-region to corroborate results."  Two fusion mechanisms:
+region to corroborate results."  Two post-detection mechanisms:
 
-* **belief fusion** — when several passive vantage points each maintain
-  a belief about the same block, their evidence combines in log-odds
-  space (independent-observation assumption), sharpening marginal
-  signals;
+* **timeline voting** — per-source timelines for the same block are
+  combined by quorum;
 * **event corroboration** — an outage event reported for a block gains
   confidence when overlapping events appear for sibling blocks (same
   supernet) or for the same block at other sources, which is how a
   regional event is distinguished from a single flaky resolver.
+
+Evidence-level fusion — several vantages' per-bin evidence combined in
+log-odds space inside one belief filter — is :mod:`repro.fusion`, over
+:func:`repro.core.belief.fused_belief_pass`.
 """
 
 from __future__ import annotations
@@ -22,63 +24,15 @@ import numpy as np
 
 from ..net.blocks import supernet_key
 from ..timeline import OutageEvent, Timeline
-from .belief import BELIEF_CEIL, BELIEF_FLOOR
 from .health import BlockDataError
 
-__all__ = ["fuse_beliefs", "fuse_timelines", "CorroboratedEvent",
-           "corroborate_events"]
+__all__ = ["fuse_timelines", "CorroboratedEvent", "corroborate_events"]
 
 
 def _source_label(sources: Optional[Sequence[str]], index: int) -> str:
     if sources is not None and index < len(sources):
         return repr(sources[index])
     return f"source[{index}]"
-
-
-def fuse_beliefs(belief_traces: Sequence[np.ndarray],
-                 prior: float = 0.99,
-                 sources: Optional[Sequence[str]] = None) -> np.ndarray:
-    """Fuse aligned belief trajectories from independent sources.
-
-    Each trace is P(up | that source's data).  Under independent
-    observations with a shared prior, the fused posterior's log-odds is
-    ``sum(logodds(b_i)) - (n-1) * logodds(prior)``.
-
-    A trace whose length disagrees with the first, or that carries
-    NaN/inf probabilities, raises :class:`BlockDataError` naming the
-    offending source (pass ``sources`` for real vantage names):
-    corrupt evidence from one vantage must be quarantined at its
-    source, never silently folded into every verdict downstream.
-    """
-    if not belief_traces:
-        raise ValueError("need at least one belief trace")
-    if not (np.isfinite(prior) and 0.0 < prior < 1.0):
-        raise ValueError(f"prior must be a probability in (0, 1), "
-                         f"got {prior!r}")
-    traces = [np.asarray(trace, dtype=float) for trace in belief_traces]
-    expected = traces[0].shape
-    for index, trace in enumerate(traces):
-        label = _source_label(sources, index)
-        if trace.ndim != 1:
-            raise BlockDataError(
-                f"belief trace from {label} must be 1-d, "
-                f"got shape {trace.shape}")
-        if trace.shape != expected:
-            raise BlockDataError(
-                f"belief trace from {label} has {trace.shape[0]} "
-                f"samples where {_source_label(sources, 0)} has "
-                f"{expected[0]}; traces must share one evaluation grid")
-        if not np.isfinite(trace).all():
-            bad = int(np.flatnonzero(~np.isfinite(trace))[0])
-            raise BlockDataError(
-                f"belief trace from {label} has a non-finite "
-                f"probability at sample {bad} ({trace[bad]!r})")
-    stacked = np.clip(np.vstack(traces), BELIEF_FLOOR, BELIEF_CEIL)
-    log_odds = np.log(stacked / (1.0 - stacked)).sum(axis=0)
-    prior_odds = np.log(prior / (1.0 - prior))
-    log_odds -= (stacked.shape[0] - 1) * prior_odds
-    fused = 1.0 / (1.0 + np.exp(-log_odds))
-    return np.clip(fused, BELIEF_FLOOR, BELIEF_CEIL)
 
 
 def fuse_timelines(timelines: Sequence[Timeline],

@@ -27,11 +27,10 @@ from ..obs.metrics import resolve_registry
 from ..telescope.aggregate import BinGrid, binned_counts
 from ..telescope.records import Observation
 from ..timeline import OutageEvent, Timeline
-from .belief import BeliefState, guarded_belief_pass
+from .belief import BeliefState, columnar_update, guarded_belief_pass
 from .columnar import (
     Cohort,
     build_cohorts,
-    columnar_update,
     diurnal_p_empty,
     history_is_clean,
 )

@@ -55,15 +55,12 @@ from ..core.checkpoint import (
 )
 from ..core.belief import (
     bin_log_likelihood_ratio,
+    columnar_fused_posterior,
+    columnar_llr,
     fused_belief_pass,
     fused_posterior,
 )
-from ..core.columnar import (
-    Cohort,
-    columnar_fused_posterior,
-    columnar_llr,
-    diurnal_p_empty,
-)
+from ..core.columnar import Cohort, diurnal_p_empty
 from ..core.detector import (
     BlockResult,
     StreamingDetector,

@@ -44,6 +44,9 @@ __all__ = [
 #: one (key, time, is_up) transition row, the piggyback wire shape.
 TransitionRow = Tuple[int, float, bool]
 
+#: bound on a forced publish's wait for the loop thread to serve it.
+FORCED_PUBLISH_WAIT_S = 10.0
+
 
 def detector_block_states(detector: Any) -> Dict[int, BlockServingState]:
     """Served states straight from a streaming detector's live blocks."""
@@ -83,7 +86,9 @@ class EngineBridge:
 
     Call :meth:`step` after feeding observations (per record or per
     batch — it is cheap when nothing changed) and once more with
-    ``force=True`` after the final flush.
+    ``force=True`` after the final flush.  A forced step returns only
+    once its snapshot is served; an unforced one never waits on the
+    loop thread, so a per-record replay loop does not stall on it.
     """
 
     def __init__(self, engine: Any, plane: ServingPlane,
@@ -140,9 +145,11 @@ class EngineBridge:
         throttled = now - self._last_publish < self.publish_min_interval_s
         if not (specs or force or (advanced and not throttled)):
             return False
-        self.plane.publish(
+        seq = self.plane.publish(
             detector_block_states(detector), watermark=watermark,
             lost=dict(self._lost), events=specs)
+        if force:
+            self.plane.wait_published(seq, FORCED_PUBLISH_WAIT_S)
         self._published_watermark = watermark
         self._last_publish = now
         return True
@@ -232,9 +239,11 @@ class SupervisorBridge:
         throttled = (now - self._last_publish < self.publish_min_interval_s
                      and not self._pending)
         if (self._dirty or force) and (force or not throttled):
-            self.plane.publish(
+            seq = self.plane.publish(
                 dict(self._states), watermark=status.global_watermark,
                 lost=dict(self._lost), events=self._pending)
+            if force:
+                self.plane.wait_published(seq, FORCED_PUBLISH_WAIT_S)
             self._pending = []
             self._dirty = False
             self._published_watermark = status.global_watermark

@@ -4,7 +4,10 @@ One :class:`ServingPlane` owns an event loop on a dedicated thread.
 Producers (the detector bridges) call :meth:`ServingPlane.publish`
 from their own thread; the loop assigns event sequence numbers, swaps
 the immutable snapshot reference in, and fans events out to
-subscribers.  Readers never lock anything: a query handler loads
+subscribers.  ``publish`` returns the snapshot seq it will install,
+and :meth:`ServingPlane.wait_published` blocks until that snapshot is
+served — the barrier for a producer that must not return before its
+state is visible.  Readers never lock anything: a query handler loads
 ``self._snapshot`` once (a single atomic attribute read) and works on
 that immutable object, so a publish mid-request is invisible rather
 than torn.
@@ -130,6 +133,13 @@ class ServingPlane:
         self._broker = EventBroker(self.config.event_capacity)
         self._snapshot: Optional[ServingSnapshot] = None
         self._snapshot_seq = 0
+        #: last seq handed out by :meth:`publish`; seqs are allocated
+        #: and queued to the loop under one lock, so they install in
+        #: order.
+        self._publish_lock = threading.Lock()
+        self._published_seq = 0
+        #: notified on the loop thread after every snapshot swap.
+        self._installed = threading.Condition()
         self._subs: Dict[int, _Subscription] = {}
         self._next_sub_id = 0
         self._connections = 0
@@ -273,13 +283,16 @@ class ServingPlane:
         lost: Optional[Mapping[int, str]] = None,
         lost_blocks: Optional[Iterable[Block]] = None,
         events: Iterable[EventSpec] = (),
-    ) -> None:
+    ) -> int:
         """Publish a new snapshot plus the events that produced it.
 
         Callable from any thread.  The tries are built here (producer
-        CPU); the loop thread only assigns sequence numbers, swaps the
-        snapshot reference, and fans the events out, so publication
-        never blocks the query path.
+        CPU); the loop thread only assigns event sequence numbers, swaps
+        the snapshot reference, and fans the events out, so publication
+        never blocks the query path.  Returns the seq of the snapshot
+        this call installs; the swap itself happens later on the loop
+        thread, so pass the seq to :meth:`wait_published` before
+        relying on :attr:`snapshot`.
         """
         specs = list(events)
         core = build_snapshot(
@@ -294,16 +307,35 @@ class ServingPlane:
                                              emitted_at=now)
                 self._m_events.labels(kind=event.kind).inc()
                 wires.append(event.to_wire())
-            self._snapshot_seq += 1
-            self._snapshot = dataclasses.replace(
-                core, seq=self._snapshot_seq, published_at=now,
-                events_through=self._broker.last_seq)
+            with self._installed:
+                self._snapshot_seq = seq
+                self._snapshot = dataclasses.replace(
+                    core, seq=seq, published_at=now,
+                    events_through=self._broker.last_seq)
+                self._installed.notify_all()
             self._m_snapshots.inc()
             for sub in list(self._subs.values()):
                 for wire in wires:
                     self._enqueue(sub, wire)
 
-        self._call(apply)
+        with self._publish_lock:
+            self._published_seq += 1
+            seq = self._published_seq
+            self._call(apply)
+        return seq
+
+    def wait_published(self, seq: int, timeout: Optional[float] = None,
+                       ) -> bool:
+        """Block until snapshot ``seq`` (or a later one) is served.
+
+        Call from a producer thread, never from the loop thread, which
+        is the one that installs it.  Returns False if ``timeout``
+        seconds pass first — a stopped loop never installs what was
+        queued to it.
+        """
+        with self._installed:
+            return self._installed.wait_for(
+                lambda: self._snapshot_seq >= seq, timeout)
 
     def emit(self, specs: Iterable[EventSpec], watermark: float) -> None:
         """Publish events without replacing the snapshot (any thread)."""

@@ -1,21 +1,24 @@
 """Scalar-oracle ≡ columnar-engine equivalence pins.
 
-The columnar streaming belief engine (``repro.core.columnar``) batches
-every bin close that shares a boundary into one array update.  The
-contract is *bit-for-bit* agreement with the scalar
-:class:`~repro.core.belief.BeliefState` oracle — not tolerance-close:
-numpy evaluates the same float expression identically for array and
-scalar operands, so any observed difference is a real divergence (a
-reordered operation, a flipped comparison) and must be fixed on the
-engine side, never absorbed by widening the oracle.
+The array kernels of ``repro.core.belief`` drive every array path: the
+columnar streaming engine batches each bin close that shares a
+boundary into one kernel call, and the batch passes call the same
+kernels once per bin.  The contract is *bit-for-bit* agreement with
+the scalar :class:`~repro.core.belief.BeliefState` oracle — not
+tolerance-close: numpy evaluates the same float expression identically
+for array and scalar operands, so any observed difference is a real
+divergence (a reordered operation, a flipped comparison) and must be
+fixed on the engine side, never absorbed by widening the oracle.
 
 Pinned here:
 
 * kernel-level ``BeliefState.update`` ≡ ``columnar_update`` under
-  hypothesis-generated inputs, including exact-threshold hysteresis
-  and degenerate clamped ``p_empty`` (the PR's divergence audit);
+  hypothesis-generated inputs, including exact-threshold hysteresis,
+  degenerate clamped ``p_empty`` and no-evidence (NaN, inf, negative)
+  counts;
 * ``bin_log_likelihood_ratio``/``fused_posterior`` ≡ their columnar
-  forms;
+  forms, and the batch ``fused_belief_pass`` ≡ a per-block loop over
+  them, freeze on gated bins included;
 * whole-detector runs (base and fused) with hot swaps, quarantine,
   and checkpoint kill-and-resume producing byte-identical state;
 * scalar↔columnar checkpoint compatibility in both directions,
@@ -34,17 +37,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.belief import (
+    BELIEF_CEIL,
     BeliefState,
     bin_log_likelihood_ratio,
-    fused_posterior,
-)
-from repro.core.checkpoint import detector_from_json, detector_to_json
-from repro.core.columnar import (
     columnar_fused_posterior,
     columnar_llr,
     columnar_update,
-    history_is_clean,
+    fused_belief_pass,
+    fused_posterior,
 )
+from repro.core.checkpoint import detector_from_json, detector_to_json
+from repro.core.columnar import history_is_clean
 from repro.core.detector import StreamingDetector
 from repro.core.history import train_history
 from repro.core.parameters import BlockParameters, ParameterPlanner
@@ -58,6 +61,9 @@ DAY = 86400.0
 
 _prob = st.floats(min_value=0.0, max_value=1.0)
 _count = st.integers(min_value=0, max_value=50)
+#: counts the scalar update treats as no evidence.
+_no_evidence = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -1, -7, -0.5])
 _belief = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
 
@@ -78,7 +84,8 @@ def _scalar_update(params, belief, is_up, count, p_empty):
 
 class TestKernelEquivalence:
     @settings(max_examples=200, deadline=None)
-    @given(belief=_belief, is_up=st.booleans(), count=_count,
+    @given(belief=_belief, is_up=st.booleans(),
+           count=st.one_of(_count, _no_evidence),
            p_empty=st.one_of(_prob, st.sampled_from(
                [0.0, 1.0, 1e-9, 1.0 - 1e-9])),
            noise=st.floats(min_value=1e-9, max_value=0.5))
@@ -88,7 +95,7 @@ class TestKernelEquivalence:
             params, belief, is_up, count, p_empty)
         c_belief, c_up, c_trips = columnar_update(
             np.array([belief]), np.array([is_up]),
-            np.array([count], dtype=np.int64), np.array([p_empty]),
+            np.array([count], dtype=type(count)), np.array([p_empty]),
             np.array([params.noise_nonempty]),
             np.array([params.prior_down]),
             np.array([params.prior_up_recovery]),
@@ -153,6 +160,84 @@ class TestKernelEquivalence:
             np.array([0.1]), np.array([0.9]))
         assert float(vector[0]) == scalar
         assert bool(v_up[0]) == s_up
+
+
+def _fused_oracle(counts_by_source, p_by_source, noise_by_source,
+                  weights_by_source, prior_down, prior_up,
+                  down=0.1, up=0.9):
+    """Per-block scalar loop of the fused filter, as the streaming
+    engine's scalar close runs it: gated sources are skipped, the rest
+    summed from zero in source order, and a bin with no contributing
+    source freezes belief and verdict."""
+    n_blocks, n_bins = counts_by_source[0].shape
+    states = np.empty((n_blocks, n_bins), dtype=bool)
+    beliefs = np.empty((n_blocks, n_bins))
+    for row in range(n_blocks):
+        belief, is_up = BELIEF_CEIL, True
+        for column in range(n_bins):
+            weighted, contributed = 0.0, False
+            for counts, p_empty, noise, weights in zip(
+                    counts_by_source, p_by_source, noise_by_source,
+                    weights_by_source):
+                weight = float(weights[row, column] if weights.ndim == 2
+                               else weights[column])
+                if weight <= 0.0:
+                    continue
+                contributed = True
+                p = p_empty[row, column] if p_empty.ndim == 2 else p_empty[row]
+                weighted += weight * bin_log_likelihood_ratio(
+                    int(counts[row, column]), float(p), float(noise[row]))
+            if contributed:
+                belief = fused_posterior(belief, weighted,
+                                         float(prior_down[row]),
+                                         float(prior_up[row]))
+                if is_up and belief <= down:
+                    is_up = False
+                elif not is_up and belief >= up:
+                    is_up = True
+            states[row, column] = is_up
+            beliefs[row, column] = belief
+    return states, beliefs
+
+
+class TestFusedPassEquivalence:
+    @settings(max_examples=100, deadline=None)
+    @given(n_blocks=st.integers(min_value=1, max_value=5),
+           n_bins=st.integers(min_value=1, max_value=40),
+           shapes=st.lists(st.tuples(st.booleans(), st.booleans()),
+                           min_size=1, max_size=3),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_fused_pass_matches_scalar_oracle(self, n_blocks, n_bins,
+                                              shapes, seed):
+        """Batch fused pass ≡ the scalar oracle loop, bit for bit, over
+        1–3 sources with vector or matrix ``p_empty``, population or
+        per-block weights, and zero-weight (gated) bins."""
+        rng = np.random.default_rng(seed)
+        counts_by_source, p_by_source, noise_by_source = [], [], []
+        weights_by_source = []
+        for matrix_p, matrix_weights in shapes:
+            counts = rng.poisson(rng.uniform(0.0, 3.0), (n_blocks, n_bins))
+            start = int(rng.integers(0, n_bins))
+            counts[:, start:start + int(rng.integers(0, 12))] = 0
+            counts_by_source.append(counts)
+            p_by_source.append(rng.uniform(1e-4, 0.9, (n_blocks, n_bins)
+                                           if matrix_p else n_blocks))
+            noise_by_source.append(rng.uniform(1e-6, 1e-2, n_blocks))
+            weights = rng.uniform(0.0, 1.0, (n_blocks, n_bins)
+                                  if matrix_weights else n_bins)
+            weights[rng.random(weights.shape) < 0.3] = 0.0
+            weights_by_source.append(weights)
+        prior_down = rng.uniform(1e-3, 0.05, n_blocks)
+        prior_up = rng.uniform(0.01, 0.2, n_blocks)
+        states, beliefs, poisoned = fused_belief_pass(
+            counts_by_source, p_by_source, noise_by_source,
+            weights_by_source, prior_down, prior_up, return_beliefs=True)
+        o_states, o_beliefs = _fused_oracle(
+            counts_by_source, p_by_source, noise_by_source,
+            weights_by_source, prior_down, prior_up)
+        assert not poisoned.any()
+        assert np.array_equal(states, o_states)
+        assert beliefs.tobytes() == o_beliefs.tobytes()
 
 
 # ---------------------------------------------------------------------------

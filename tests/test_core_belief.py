@@ -1,4 +1,4 @@
-"""Bayesian belief filtering: scalar and vector engines."""
+"""Bayesian belief filtering: the scalar filter and the batch pass."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.core.belief import (
     BELIEF_CEIL,
     BELIEF_FLOOR,
     BeliefState,
-    vector_belief_pass,
+    guarded_belief_pass,
 )
 from repro.core.parameters import BlockParameters
 
@@ -92,7 +92,7 @@ class TestVector:
         prior_down = np.full(n_blocks, 0.002)
         prior_up = np.full(n_blocks, 0.08)
 
-        states, beliefs = vector_belief_pass(
+        states, beliefs, _ = guarded_belief_pass(
             counts, p_empty, noise, prior_down, prior_up,
             return_beliefs=True)
 
@@ -110,7 +110,7 @@ class TestVector:
         # identical silence, but expected at night (p_empty ~ 1)
         p_empty = np.full((1, 48), 1.0 - 1e-9)
         noise = np.array([1e-5])
-        states, _ = vector_belief_pass(
+        states, _, _ = guarded_belief_pass(
             counts, p_empty, noise, np.array([0.002]), np.array([0.08]))
         assert states.all()  # silence carried no evidence
 
@@ -118,15 +118,15 @@ class TestVector:
         counts = np.zeros((2, 10), dtype=int)
         good = np.ones(2) * 0.01
         with pytest.raises(ValueError):
-            vector_belief_pass(np.zeros(10), good, good, good, good)
+            guarded_belief_pass(np.zeros(10), good, good, good, good)
         with pytest.raises(ValueError):
-            vector_belief_pass(counts, np.ones(3), good, good, good)
+            guarded_belief_pass(counts, np.ones(3), good, good, good)
         with pytest.raises(ValueError):
-            vector_belief_pass(counts, np.ones((2, 9)), good, good, good)
+            guarded_belief_pass(counts, np.ones((2, 9)), good, good, good)
 
     def test_initial_belief_respected(self):
         counts = np.ones((1, 1), dtype=int)
-        states, beliefs = vector_belief_pass(
+        states, beliefs, _ = guarded_belief_pass(
             np.zeros((1, 3), dtype=int), np.array([0.001]),
             np.array([1e-5]), np.array([0.002]), np.array([0.08]),
             initial_belief=np.array([0.05]), return_beliefs=True)
@@ -142,7 +142,7 @@ class TestVector:
 def test_vector_scalar_equivalence_property(counts, p_empty, noise):
     """The two engines are the same filter, bit for bit (one block)."""
     matrix = np.array([counts])
-    states, beliefs = vector_belief_pass(
+    states, beliefs, _ = guarded_belief_pass(
         matrix, np.array([p_empty]), np.array([noise]),
         np.array([0.002]), np.array([0.08]), return_beliefs=True)
     scalar = BeliefState(make_params(p_empty=p_empty, noise=noise))

@@ -1,74 +1,10 @@
 """Multi-signal corroboration."""
 
-import numpy as np
 import pytest
 
-from repro.core.correlation import (
-    corroborate_events,
-    fuse_beliefs,
-    fuse_timelines,
-)
+from repro.core.correlation import corroborate_events, fuse_timelines
 from repro.core.health import BlockDataError
 from repro.timeline import OutageEvent, Timeline
-
-
-class TestFuseBeliefs:
-    def test_agreement_sharpens(self):
-        a = np.array([0.8, 0.2])
-        fused = fuse_beliefs([a, a], prior=0.5)
-        assert fused[0] > 0.8
-        assert fused[1] < 0.2
-
-    def test_single_source_identity(self):
-        a = np.array([0.7, 0.3])
-        assert np.allclose(fuse_beliefs([a]), a)
-
-    def test_disagreement_moderates(self):
-        up = np.array([0.9])
-        down = np.array([0.1])
-        fused = fuse_beliefs([up, down], prior=0.5)
-        assert 0.3 < fused[0] < 0.7
-
-    def test_requires_input(self):
-        with pytest.raises(ValueError):
-            fuse_beliefs([])
-
-    def test_output_clamped(self):
-        extreme = np.array([1.0 - 1e-9])
-        fused = fuse_beliefs([extreme, extreme, extreme])
-        assert fused[0] < 1.0
-
-    def test_nan_trace_rejected_naming_source_and_sample(self):
-        good = np.array([0.8, 0.7, 0.9])
-        bad = np.array([0.8, np.nan, 0.9])
-        with pytest.raises(BlockDataError) as info:
-            fuse_beliefs([good, bad], sources=["dns", "darknet"])
-        message = str(info.value)
-        assert "'darknet'" in message
-        assert "sample 1" in message
-
-    def test_inf_trace_rejected_without_names(self):
-        with pytest.raises(BlockDataError) as info:
-            fuse_beliefs([np.array([0.8, np.inf])])
-        assert "source[0]" in str(info.value)
-
-    def test_length_mismatch_rejected_naming_both_sources(self):
-        with pytest.raises(BlockDataError) as info:
-            fuse_beliefs([np.full(4, 0.9), np.full(3, 0.9)],
-                         sources=["dns", "darknet"])
-        message = str(info.value)
-        assert "'darknet'" in message and "'dns'" in message
-        assert "3" in message and "4" in message
-
-    def test_multidimensional_trace_rejected(self):
-        with pytest.raises(BlockDataError, match="must be 1-d"):
-            fuse_beliefs([np.full((2, 2), 0.9)])
-
-    def test_non_finite_prior_rejected(self):
-        with pytest.raises(ValueError, match="prior"):
-            fuse_beliefs([np.array([0.9])], prior=float("nan"))
-        with pytest.raises(ValueError, match="prior"):
-            fuse_beliefs([np.array([0.9])], prior=1.0)
 
 
 class TestFuseTimelines:

@@ -12,6 +12,8 @@ same replica.
 """
 
 import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -325,12 +327,13 @@ def plane():
 def _publish_two_blocks(plane):
     up = Block.parse("192.0.2.0/24")
     down = Block.parse("198.51.100.0/24")
-    plane.publish(
+    seq = plane.publish(
         {up.prefix: BlockServingState(up=True, belief=0.99),
          down.prefix: BlockServingState(up=False, since=900.0)},
         watermark=1000.0,
         events=[EventSpec(kind="onset", time=900.0, block=str(down),
                           key=down.prefix)])
+    assert plane.wait_published(seq, timeout=10.0)
     return up, down
 
 
@@ -435,6 +438,45 @@ class TestServingPlaneEndToEnd:
         assert status == 200
         assert headers["content-type"].startswith("text/plain")
         assert "serve_requests_total" in body.decode()
+
+    def test_concurrent_publishers_install_every_seq_in_order(self, plane):
+        """More publishing threads than cores, with a short switch
+        interval: every ``publish`` gets its own seq, the loop installs
+        them in order, and each ``wait_published`` returns once its
+        snapshot (or a later one) is served."""
+        threads, per_thread = 6, 40
+        key = Block.parse("192.0.2.0/24").prefix
+        seqs, waited, installed = [], [], []
+        lock = threading.Lock()
+
+        def producer(index):
+            for step in range(per_thread):
+                seq = plane.publish({key: BlockServingState(up=True)},
+                                    watermark=float(index * per_thread
+                                                    + step))
+                ok = plane.wait_published(seq, timeout=10.0)
+                served = plane.snapshot.seq
+                with lock:
+                    seqs.append(seq)
+                    waited.append(ok)
+                    installed.append(served >= seq)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=producer, args=(index,))
+                       for index in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(seqs) == list(range(1, threads * per_thread + 1))
+        assert all(waited) and all(installed)
+        assert plane.wait_published(threads * per_thread, timeout=10.0)
+        assert plane.snapshot.seq == threads * per_thread
 
 
 # -- resync convergence property (satellite: event-seq protocol) -------------

@@ -88,7 +88,10 @@ def wait_for(predicate, timeout=15.0, interval=0.01):
 
 
 class _Flipper:
-    """Test-side publisher: fold-as-you-publish, like the bridges."""
+    """Test-side publisher: fold-as-you-publish, like the bridges.
+
+    ``flip`` returns the snapshot seq; a caller that reads plane state
+    next waits on it first (``settled``)."""
 
     def __init__(self, plane, keys):
         self.plane = plane
@@ -100,11 +103,15 @@ class _Flipper:
         when = float(self.count)
         self.states[key] = BlockServingState(up=up, since=when)
         detail = {"pad": "x" * pad} if pad else {}
-        self.plane.publish(
+        return self.plane.publish(
             dict(self.states), watermark=when,
             events=[EventSpec(kind="recovery" if up else "onset",
                               time=when, block=str(Block(V4, key, 24)),
                               key=key, detail=detail)])
+
+    def settled(self, key, up):
+        """``flip``, then wait until the plane serves the result."""
+        assert self.plane.wait_published(self.flip(key, up), timeout=10.0)
 
 
 class TestSlowConsumerEviction:
@@ -122,7 +129,7 @@ class TestSlowConsumerEviction:
         keys = [0xC00002 + i for i in range(4)]
         try:
             flipper = _Flipper(plane, keys)
-            flipper.flip(keys[0], False)
+            flipper.settled(keys[0], False)
             victim_state = SubscriberState()
             victim = SyncServeClient("127.0.0.1", plane.port)
             assert victim.accepted
@@ -193,7 +200,7 @@ class TestOverloadShedding:
             admission=AdmissionConfig(shed_qps=5.0, shed_burst=3.0,
                                       retry_base_s=2.0, salt="chaos"))
         try:
-            _Flipper(plane, [0xC00002]).flip(0xC00002, False)
+            _Flipper(plane, [0xC00002]).settled(0xC00002, False)
             outcomes = []
             for _ in range(40):
                 status, headers, body = http_get(
@@ -229,7 +236,7 @@ class TestOverloadShedding:
         plane, registry = start_plane(
             admission=AdmissionConfig(max_subscribers=1, salt="chaos"))
         try:
-            _Flipper(plane, [0xC00002]).flip(0xC00002, False)
+            _Flipper(plane, [0xC00002]).settled(0xC00002, False)
             first = SyncServeClient("127.0.0.1", plane.port)
             assert first.accepted
             assert first.recv_message()["type"] == "hello"
@@ -280,6 +287,7 @@ class TestDetectorStall:
                     fed += 1
                     if fed >= 20000:
                         break
+            # A forced step returns only once its snapshot is served.
             assert bridge.step(force=True)
             seq = plane.snapshot.seq
 
