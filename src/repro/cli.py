@@ -39,7 +39,7 @@ from .obs.metrics import (
     set_registry,
 )
 from .obs.server import ObservabilityServer
-from .obs.tracing import NULL_TRACER, SpanTracer, set_tracer
+from .obs.tracing import NULL_TRACER, SpanTracer, get_tracer, set_tracer
 from .experiments import (
     run_baseline_comparison,
     run_darknet_fusion,
@@ -228,20 +228,38 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_capture(args: argparse.Namespace, tracer: object
+                  ) -> Optional[Tuple[ObservationBatch,
+                                      Dict[int, np.ndarray]]]:
+    """``args.capture``'s time-sorted IPv``args.family`` batch and its
+    per-block times, under ``capture.decode``/``aggregate.split`` spans;
+    None (after saying why) when it holds no records of that family."""
+    with tracer.span("capture.decode"):
+        ipv4, ipv6 = read_batches(args.capture)
+    batch = ipv4 if args.family == 4 else ipv6
+    if not len(batch):
+        print(f"capture has no IPv{args.family} observations",
+              file=sys.stderr)
+        return None
+    with tracer.span("aggregate.split", records=len(batch)):
+        batch = batch.sorted_by_time()
+        return batch, per_block_times(batch)
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     """Train per-block models from a capture and save them as JSON."""
     from .core.serialize import save_model
 
-    ipv4, ipv6 = read_batches(args.capture)
-    batch = (ipv4 if args.family == 4 else ipv6).sorted_by_time()
-    if not len(batch):
-        print(f"capture has no IPv{args.family} observations",
-              file=sys.stderr)
+    # No telemetry flags here: spans go to the process tracer, as the
+    # pipeline's do.
+    loaded = _load_capture(args, get_tracer())
+    if loaded is None:
         return 1
+    batch, per_block = loaded
     start = float(batch.times[0])
     end = args.train_end if args.train_end else float(batch.times[-1]) + 1.0
     pipeline = PassiveOutagePipeline()
-    model = pipeline.train(batch.family, per_block_times(batch), start, end)
+    model = pipeline.train(batch.family, per_block, start, end)
     save_model(model, args.out)
     print(f"trained {len(model.parameters)} blocks "
           f"({model.coverage():.1%} measurable) -> {args.out}")
@@ -274,24 +292,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     With ``--model``, skips training and uses a saved model instead.
     """
-    ipv4, ipv6 = read_batches(args.capture)
-    batch = ipv4 if args.family == 4 else ipv6
-    if not len(batch):
-        print(f"capture has no IPv{args.family} observations",
-              file=sys.stderr)
-        return 1
-    batch = batch.sorted_by_time()
-    # Window bounds from the data must survive poisoned records: a
-    # single NaN timestamp sorts last and would otherwise become the
-    # window end (and poison every block's bin grid, not just its own).
-    finite = batch.times[np.isfinite(batch.times)]
-    if not len(finite):
-        print("capture has no finite timestamps", file=sys.stderr)
-        return 1
-    start = float(finite[0])
-    end = float(finite[-1]) + 1.0
-    train_end = args.train_end if args.train_end else (start + end) / 2.0
-
     supervision = None
     workers = args.workers
     if (args.shard_timeout is not None or args.shard_retries is not None
@@ -308,9 +308,23 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             # for it implies at least one supervised worker.
             workers = 1
 
-    per_block = per_block_times(batch)
     with _telemetry(args) as telemetry:
         registry, tracer = telemetry.registry, telemetry.tracer
+        loaded = _load_capture(args, tracer)
+        if loaded is None:
+            return 1
+        batch, per_block = loaded
+        # Window bounds must survive poisoned records: a single NaN
+        # timestamp sorts last and would otherwise become the window end
+        # (and poison every block's bin grid, not just its own).
+        finite = batch.times[np.isfinite(batch.times)]
+        if not len(finite):
+            print("capture has no finite timestamps", file=sys.stderr)
+            return 1
+        start = float(finite[0])
+        end = float(finite[-1]) + 1.0
+        train_end = args.train_end if args.train_end else (start + end) / 2.0
+
         pipeline = PassiveOutagePipeline(
             max_quarantine_frac=args.max_quarantine_frac,
             metrics=registry, tracer=tracer,

@@ -7,20 +7,21 @@ timestamps are the paper's precision advantage, so they are first-class
 here), the address family, the full 128-bit source address (IPv4 is
 zero-extended), and the DNS query type.
 
-Record layout (27 bytes, network byte order):
+Record layout (27 bytes, network byte order), defined once as
+``_RECORD_DTYPE`` (``_RECORD`` is its struct twin, checked equal):
 
     float64  time_seconds
     uint8    family (4 or 6)
     byte[16] source address, big-endian, zero-padded
     uint16   qtype
 
-Writers append; readers stream or bulk-load into
-:class:`~repro.telescope.records.ObservationBatch` columns.
+Bulk reads and writes (``read_all``, ``write_batch``) are columnar, one
+structured array per call; streaming reads (``read_one``, iteration)
+decode one record at a time.  Both report the first bad frame.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterator, Optional, Tuple, Union
@@ -38,6 +39,32 @@ MAGIC = b"POBS"
 VERSION = 1
 _HEADER = struct.Struct("!4sHH")  # magic, version, reserved
 _RECORD = struct.Struct("!dB16sH")
+_RECORD_DTYPE = np.dtype([("time", ">f8"), ("family", "u1"),
+                          ("source", "u1", (16,)), ("qtype", ">u2")])
+assert _RECORD_DTYPE.itemsize == _RECORD.size
+
+#: Where each family's block key sits in the source address: the
+#: big-endian 64-bit word at this byte of the 16, and the right shift
+#: that leaves the key.  IPv4 keys are ``source >> 8`` (a /24) cut to 64
+#: bits, i.e. bytes 7..14; IPv6 keys are the top 48 bits (a /48).
+_KEY_WORD = {Family.IPV4: (7, 0), Family.IPV6: (0, 16)}
+
+
+def _key_word(records: np.ndarray, family: Family) -> np.ndarray:
+    """View of each record's key word (big-endian uint64, no copy)."""
+    start, _ = _KEY_WORD[family]
+    return records["source"][:, start:start + 8].view(">u8")[:, 0]
+
+
+def _family_batch(records: np.ndarray, family: Family) -> ObservationBatch:
+    """One family's rows of a record array as native-endian columns."""
+    mask = records["family"] == int(family)
+    if not mask.all():
+        records = records[mask]
+    keys = _key_word(records, family).astype(np.uint64)
+    keys >>= _KEY_WORD[family][1]
+    return ObservationBatch(family, records["time"].astype(np.float64),
+                            keys, records["qtype"].astype(np.uint16))
 
 
 class CaptureError(IOError):
@@ -98,17 +125,20 @@ class CaptureWriter:
         self.records_written += 1
 
     def write_batch(self, batch: ObservationBatch) -> None:
-        """Append a whole batch (block-base addresses reconstructed)."""
-        host_bits = batch.family.bits - batch.family.default_block_prefix
-        family = int(batch.family)
-        pack = _RECORD.pack
-        chunks = [
-            pack(float(t), family, (int(k) << host_bits).to_bytes(16, "big"),
-                 int(q))
-            for t, k, q in zip(batch.times, batch.block_keys, batch.qtypes)
-        ]
-        self._file.write(b"".join(chunks))
-        self.records_written += len(chunks)
+        """Append a whole batch (block-base addresses reconstructed);
+        an IPv6 key wider than 48 bits raises :class:`OverflowError`."""
+        family = batch.family
+        shift = _KEY_WORD[family][1]
+        if shift and np.any(batch.block_keys >> (64 - shift)):
+            raise OverflowError(
+                f"{family.name} block key wider than {64 - shift} bits")
+        records = np.zeros(len(batch), dtype=_RECORD_DTYPE)
+        records["time"] = batch.times
+        records["family"] = int(family)
+        records["qtype"] = batch.qtypes
+        _key_word(records, family)[:] = batch.block_keys << shift
+        self._file.write(records.tobytes())
+        self.records_written += len(records)
 
     def close(self) -> None:
         if self._owns:
@@ -187,53 +217,28 @@ class CaptureReader:
     def read_all(self) -> Tuple[ObservationBatch, ObservationBatch]:
         """Bulk-load the remaining records into per-family batches.
 
-        Returns ``(ipv4_batch, ipv6_batch)``; either may be empty.
+        One columnar pass over the payload.  The first bad frame — a bad
+        family byte, else a trailing partial record — is reported as
+        :meth:`read_one` reports it.  Returns ``(ipv4_batch,
+        ipv6_batch)``; either may be empty.
         """
-        payload = self._file.read()
-        if len(payload) % _RECORD.size:
-            if not self.tolerant:
-                raise CaptureCorruptionError(
-                    f"capture payload is not record-aligned "
-                    f"({len(payload) % _RECORD.size} trailing bytes)",
-                    self._byte_offset()
-                    + len(payload) - len(payload) % _RECORD.size,
-                    self.records_read + len(payload) // _RECORD.size)
-            self.stopped_early = True
-        count = len(payload) // _RECORD.size
-        times = np.empty(count, dtype=np.float64)
-        families = np.empty(count, dtype=np.uint8)
-        keys = np.empty(count, dtype=np.uint64)
-        qtypes = np.empty(count, dtype=np.uint16)
-        view = memoryview(payload)
-        good = count
-        for index in range(count):
-            time, family_value, source_bytes, qtype = _RECORD.unpack_from(
-                view, index * _RECORD.size)
-            try:
-                family = Family(family_value)
-            except ValueError:
-                if not self.tolerant:
-                    raise CaptureCorruptionError(
-                        f"bad family byte {family_value}",
-                        self._byte_offset() + index * _RECORD.size,
-                        self.records_read + index) from None
-                self.stopped_early = True
-                good = index
-                break
-            times[index] = time
-            families[index] = family_value
-            qtypes[index] = qtype
-            source = int.from_bytes(source_bytes, "big")
-            shift = family.bits - family.default_block_prefix
-            keys[index] = (source >> shift) & 0xFFFFFFFFFFFFFFFF
+        payload = b"" if self.stopped_early else self._file.read()
+        good, trailing = divmod(len(payload), _RECORD.size)
+        records = np.frombuffer(payload, dtype=_RECORD_DTYPE, count=good)
+        families = records["family"]
+        bad = np.flatnonzero((families != int(Family.IPV4))
+                             & (families != int(Family.IPV6)))
+        if bad.size:
+            good = int(bad[0])
         self.records_read += good
-        batches = []
-        for family in (Family.IPV4, Family.IPV6):
-            mask = families[:good] == int(family)
-            batches.append(ObservationBatch(
-                family, times[:good][mask], keys[:good][mask],
-                qtypes[:good][mask]))
-        return batches[0], batches[1]
+        if bad.size:
+            self._corrupt(f"bad family byte {families[good]}")
+        elif trailing:
+            self._corrupt(f"truncated record at end of capture "
+                          f"({trailing} of {_RECORD.size} bytes)")
+        records = records[:good]
+        return (_family_batch(records, Family.IPV4),
+                _family_batch(records, Family.IPV6))
 
     def close(self) -> None:
         if self._owns:
@@ -260,11 +265,3 @@ def read_batches(target: PathOrFile) -> Tuple[ObservationBatch,
     with CaptureReader(target) as reader:
         return reader.read_all()
 
-
-def roundtrip_bytes(*batches: ObservationBatch) -> Tuple[ObservationBatch,
-                                                         ObservationBatch]:
-    """Serialise and re-load in memory (testing helper)."""
-    buffer = io.BytesIO()
-    write_batches(buffer, *batches)
-    buffer.seek(0)
-    return read_batches(buffer)

@@ -158,6 +158,21 @@ class TestTelemetry:
         assert (inner["ts"] + inner["dur"]
                 <= outer["ts"] + outer["dur"])
 
+    def test_detect_trace_covers_decode_and_split(self, tmp_path, capsys):
+        capture, _ = self._prepare(tmp_path)
+        trace_path = tmp_path / "trace.json"
+        assert main(["detect", str(capture), "--train-end", "86400",
+                     "--trace-out", str(trace_path)]) == 0
+        spans = {}
+        for event in json.loads(trace_path.read_text())["traceEvents"]:
+            spans.setdefault(event["name"], event)
+        order = ["capture.decode", "aggregate.split", "train", "detect"]
+        assert set(order) <= set(spans)
+        # Each stage ends before the next one starts.
+        for earlier, later in zip(order, order[1:]):
+            assert (spans[earlier]["ts"] + spans[earlier]["dur"]
+                    <= spans[later]["ts"]), (earlier, later)
+
     def test_live_metrics_embed_in_checkpoint(self, tmp_path, capsys):
         capture, model = self._prepare(tmp_path)
         checkpoint = tmp_path / "live.ckpt.json"

@@ -16,6 +16,7 @@ from repro.telescope.aggregate import (
     per_block_times,
 )
 from repro.telescope.capture import (
+    CaptureCorruptionError,
     CaptureError,
     CaptureReader,
     CaptureWriter,
@@ -238,19 +239,141 @@ class TestStream:
             list(window_stream([], 0, 0))
 
 
-@given(st.lists(st.tuples(
-    st.floats(0, 1e6, allow_nan=False),
-    st.integers(min_value=0, max_value=(1 << 48) - 1),
-    st.integers(min_value=0, max_value=65535)), max_size=50))
-def test_capture_roundtrip_property(rows):
+#: largest block key of each family's analysis prefix (/24, /48).
+MAX_KEY = {Family.IPV4: (1 << 24) - 1, Family.IPV6: (1 << 48) - 1}
+
+
+@given(st.data())
+def test_capture_roundtrip_property(data):
+    family = data.draw(st.sampled_from([Family.IPV4, Family.IPV6]))
+    rows = data.draw(st.lists(st.tuples(
+        st.floats(0, 1e6, allow_nan=False),
+        st.one_of(st.integers(min_value=0, max_value=MAX_KEY[family]),
+                  st.just(MAX_KEY[family])),
+        st.integers(min_value=0, max_value=65535)), max_size=50))
     times = np.array(sorted(t for t, _, _ in rows), dtype=np.float64)
     keys = np.array([k for _, k, _ in rows], dtype=np.uint64)
     qtypes = np.array([q for _, _, q in rows], dtype=np.uint16)
-    batch = ObservationBatch(Family.IPV6, times, keys, qtypes)
+    batch = ObservationBatch(family, times, keys, qtypes)
     buffer = io.BytesIO()
     write_batches(buffer, batch)
     buffer.seek(0)
-    _, got = read_batches(buffer)
+    got = read_batches(buffer)[family is Family.IPV6]
     assert np.array_equal(got.times, times)
     assert np.array_equal(got.block_keys, keys)
     assert np.array_equal(got.qtypes, qtypes)
+
+
+def test_write_batch_rejects_ipv6_key_wider_than_48_bits():
+    batch = ObservationBatch(Family.IPV6, [1.0, 2.0],
+                             np.array([1, 1 << 48], dtype=np.uint64))
+    with pytest.raises(OverflowError):
+        write_batches(io.BytesIO(), batch)
+
+
+# -- read_all against the per-record read_one oracle -------------------------
+
+_RECORD_SIZE = 27
+_HEADER_SIZE = 8
+_U64 = (1 << 64) - 1
+
+
+def _random_capture(seed, corruption):
+    """Seeded capture bytes with both families, odd times and high bytes.
+
+    ``corruption`` puts a bad family byte at the first, middle or last
+    record, cuts a trailing partial record, or does both (``"both"``:
+    the bad byte comes first in the file).
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 40))
+    buffer = io.BytesIO()
+    with CaptureWriter(buffer) as writer:
+        for _ in range(n):
+            family = Family.IPV4 if rng.random() < 0.6 else Family.IPV6
+            time = float(rng.choice([rng.uniform(0, 1e6), np.nan, np.inf,
+                                     -np.inf], p=[0.85, 0.05, 0.05, 0.05]))
+            if family is Family.IPV4 and rng.random() < 0.5:
+                source = int(rng.integers(0, 1 << 32))
+            else:  # IPv6, or IPv4 with garbage high bytes
+                source = int.from_bytes(rng.bytes(16), "big")
+            writer.write_raw(time, family, source, int(rng.integers(0, 65536)))
+    data = bytearray(buffer.getvalue())
+    bad_at = {"first": 0, "middle": n // 2, "last": n - 1,
+              "both": n // 3}.get(corruption)
+    if bad_at is not None:
+        data[_HEADER_SIZE + bad_at * _RECORD_SIZE + 8] = int(
+            rng.choice([0, 5, 9, 255]))
+    if corruption in ("partial", "both"):
+        data += rng.bytes(int(rng.integers(1, _RECORD_SIZE)))
+    return bytes(data)
+
+
+def _outcome(data, tolerant, preread, load):
+    """``load``'s batches after ``preread`` streamed records, and the
+    reader's accounting; or the error either step raised."""
+    reader = CaptureReader(io.BytesIO(data), tolerant=tolerant)
+    try:
+        for _ in range(preread):
+            reader.read_one()
+        batches = load(reader)
+    except CaptureCorruptionError as error:
+        return ("error", error.byte_offset, error.records_read)
+    return batches, reader.records_read, reader.stopped_early
+
+
+def _oracle_load(reader):
+    columns = {family: ([], [], []) for family in (Family.IPV4, Family.IPV6)}
+    for observation in reader:
+        times, keys, qtypes = columns[observation.family]
+        shift = (observation.family.bits
+                 - observation.family.default_block_prefix)
+        times.append(observation.time)
+        keys.append((observation.source >> shift) & _U64)
+        qtypes.append(observation.qtype)
+    return tuple(
+        ObservationBatch(family, np.array(times, dtype=np.float64),
+                         np.array(keys, dtype=np.uint64),
+                         np.array(qtypes, dtype=np.uint16))
+        for family, (times, keys, qtypes) in columns.items())
+
+
+@pytest.mark.parametrize("tolerant", [False, True])
+@pytest.mark.parametrize("corruption", [None, "first", "middle", "last",
+                                        "partial", "both"])
+def test_read_all_matches_read_one_oracle(corruption, tolerant):
+    for seed in range(4):
+        data = _random_capture(seed, corruption)
+        for preread in (0, 3):
+            got = _outcome(data, tolerant, preread, CaptureReader.read_all)
+            want = _outcome(data, tolerant, preread, _oracle_load)
+            context = (seed, preread)
+            if want[0] == "error":
+                assert got == want, context
+                continue
+            assert got[0][0] != "error", context
+            assert got[1:] == want[1:], context
+            for got_batch, want_batch in zip(got[0], want[0]):
+                assert got_batch.family is want_batch.family
+                for column in ("times", "block_keys", "qtypes"):
+                    mine = getattr(got_batch, column)
+                    oracle = getattr(want_batch, column)
+                    assert mine.dtype == oracle.dtype, (context, column)
+                    assert mine.tobytes() == oracle.tobytes(), (context,
+                                                                column)
+
+
+def test_read_all_reports_first_bad_frame():
+    """A bad family byte before a trailing partial record wins."""
+    buffer = io.BytesIO()
+    with CaptureWriter(buffer) as writer:
+        for index in range(10):
+            writer.write(Observation(float(index), Family.IPV4, index << 8))
+    data = bytearray(buffer.getvalue() + b"\x00\x00\x00")
+    data[_HEADER_SIZE + 3 * _RECORD_SIZE + 8] = 9
+    with pytest.raises(CaptureCorruptionError, match="bad family byte 9") as bulk:
+        CaptureReader(io.BytesIO(bytes(data))).read_all()
+    with pytest.raises(CaptureCorruptionError) as streamed:
+        list(CaptureReader(io.BytesIO(bytes(data))))
+    assert bulk.value.byte_offset == streamed.value.byte_offset == 89
+    assert bulk.value.records_read == streamed.value.records_read == 3
