@@ -164,12 +164,13 @@ def _metric_value(registry: object, name: str) -> float:
 def _graceful_stop() -> Iterator[Callable[[], bool]]:
     """SIGTERM/SIGINT set a flag instead of killing the monitor.
 
-    The live paths poll the yielded callable once per record and exit
-    through their normal teardown — flushing checkpoints and telemetry
-    — rather than dying mid-write.  Previous handlers are restored on
-    exit because ``main()`` is called repeatedly in-process by the
-    test suite; installation is skipped quietly off the main thread,
-    where CPython forbids it.
+    The live paths poll the yielded callable as they go (once per
+    record, or once per decoded chunk in single-process ``live``) and
+    exit through their normal teardown — flushing checkpoints and
+    telemetry — rather than dying mid-write.  Previous handlers are
+    restored on exit because ``main()`` is called repeatedly in-process
+    by the test suite; installation is skipped quietly off the main
+    thread, where CPython forbids it.
     """
     stop = {"flag": False}
 
@@ -388,7 +389,8 @@ def _cmd_live(args: argparse.Namespace) -> int:
     """Replay a capture through the resilient live-monitor path.
 
     This is the deployment shape: a saved model, a streaming detector
-    fed record by record, an optional reorder buffer in front (bounded
+    fed in columnar chunks (or, partitioned, by supervised workers fed
+    record by record), an optional reorder buffer in front (bounded
     out-of-order tolerance), an optional vantage sentinel (observer
     failure quarantine), and periodic atomic checkpoints so a killed
     monitor resumes mid-stream instead of retraining.
@@ -413,7 +415,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
     with _telemetry(args, force_metrics=True) as telemetry:
         if args.partitions is not None or args.partition_chunk is not None:
             return _run_live_partitioned(args, model, telemetry)
-        return _run_live(args, model, telemetry.registry)
+        return _run_live(args, model, telemetry)
 
 
 def _live_drift_config(args: argparse.Namespace) -> Optional[object]:
@@ -446,7 +448,7 @@ def _print_live_summary(args: argparse.Namespace, results: Dict,
 
 
 def _run_live(args: argparse.Namespace, model: "TrainedModel",
-              registry: object) -> int:
+              telemetry: _RunTelemetry) -> int:
     from .core.checkpoint import (
         CheckpointFormatError,
         load_checkpoint_rotated,
@@ -456,9 +458,14 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
     from .core.health import ErrorBudget
     from .core.sentinel import SentinelConfig, VantageSentinel
     from .live import _PROCESS_FAULT_ENV, LiveBlockEngine
-    from .telescope.capture import CaptureCorruptionError, CaptureReader
+    from .telescope.capture import (
+        CaptureCorruptionError,
+        CaptureReader,
+        record_byte_offset,
+    )
     from .telescope.reorder import LatePolicy, ReorderBuffer
 
+    registry, tracer = telemetry.registry, telemetry.tracer
     resume_time = None
     detector = None
     if args.checkpoint and os.path.exists(args.checkpoint):
@@ -500,9 +507,10 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
     engine.restore(detector.restored_extra, buffer_state=False)
 
     def _save() -> None:
-        save_checkpoint_rotated(detector, args.checkpoint,
-                                keep=args.checkpoint_keep,
-                                extra=engine.checkpoint_extra())
+        with tracer.span("checkpoint.save"):
+            save_checkpoint_rotated(detector, args.checkpoint,
+                                    keep=args.checkpoint_keep,
+                                    extra=engine.checkpoint_extra())
 
     next_checkpoint = (detector.last_time + args.checkpoint_every
                        if args.checkpoint else float("inf"))
@@ -510,40 +518,69 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
     next_status = (detector.last_time + interval
                    if interval > 0 else float("inf"))
     status_bins = _metric_value(registry, "stream_bins_total")
+    # Every record read lands in exactly one of these (plus the late
+    # drops and, when interrupted, what the buffer still holds).
+    skipped_training = skipped_resume = 0
     interrupted = False
     with _graceful_stop() as stop_requested:
         try:
             with CaptureReader(args.capture,
                                tolerant=args.tolerant) as reader:
-                for observation in reader:
+                while True:
                     if stop_requested():
                         interrupted = True
                         break
-                    if observation.time < detector.start:
-                        continue  # training-window traffic, not live
-                    if (resume_time is not None
-                            and observation.time <= resume_time):
-                        continue  # already accounted before the crash
-                    engine.feed(observation)
-                    if (args.checkpoint
-                            and detector.last_time >= next_checkpoint):
-                        _save()
-                        next_checkpoint = (detector.last_time
-                                           + args.checkpoint_every)
-                    if detector.last_time >= next_status:
-                        bins = _metric_value(registry, "stream_bins_total")
-                        lag = _metric_value(
-                            registry, "stream_watermark_lag_seconds")
-                        print(f"[live t={detector.last_time:,.0f}s] "
-                              f"{(bins - status_bins) / interval:,.2f} "
-                              f"windows/s, lag {lag:,.1f}s, "
-                              f"{len(detector.dead_letters)} "
-                              f"blocks quarantined",
+                    first = reader.records_read
+                    with tracer.span("capture.decode"):
+                        chunk = reader.read_chunk()
+                    if chunk is None:
+                        break
+                    # Training-window traffic is not live; after a
+                    # resume, records up to the checkpoint were already
+                    # accounted before the crash.  NaN passes both.
+                    times = chunk.times
+                    keep = ~(times < detector.start)
+                    skipped_training += len(chunk) - int(keep.sum())
+                    if resume_time is not None:
+                        fresh = ~(times <= resume_time)
+                        skipped_resume += int((keep & ~fresh).sum())
+                        keep &= fresh
+                    poisoned = np.flatnonzero(keep & ~np.isfinite(times))
+                    cut = int(poisoned[0]) if poisoned.size else len(chunk)
+                    rows = chunk[np.flatnonzero(keep[:cut])]
+                    fed = 0
+                    while fed < len(rows):
+                        with tracer.span("live.feed"):
+                            fed += engine.feed_batch(
+                                rows[fed:], min(next_checkpoint, next_status))
+                        if (args.checkpoint
+                                and detector.last_time >= next_checkpoint):
+                            _save()
+                            next_checkpoint = (detector.last_time
+                                               + args.checkpoint_every)
+                        if detector.last_time >= next_status:
+                            bins = _metric_value(registry,
+                                                 "stream_bins_total")
+                            lag = _metric_value(
+                                registry, "stream_watermark_lag_seconds")
+                            print(f"[live t={detector.last_time:,.0f}s] "
+                                  f"{(bins - status_bins) / interval:,.2f} "
+                                  f"windows/s, lag {lag:,.1f}s, "
+                                  f"{len(detector.dead_letters)} "
+                                  f"blocks quarantined",
+                                  file=sys.stderr)
+                            status_bins = bins
+                            next_status = detector.last_time + interval
+                    if poisoned.size:
+                        record = first + cut
+                        print(f"capture record {record} (byte offset "
+                              f"{record_byte_offset(record)}) has a "
+                              f"non-finite timestamp t={float(times[cut])!r}",
                               file=sys.stderr)
-                        status_bins = bins
-                        next_status = detector.last_time + interval
+                        return 1
                 if not interrupted:
-                    engine.flush()
+                    with tracer.span("live.feed"):
+                        engine.flush()
                 if reader.stopped_early:
                     print(f"capture corrupt past record "
                           f"{reader.records_read}; stopped at last good "
@@ -562,6 +599,11 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
                   "disorder in-stream", file=sys.stderr)
             return 1
 
+    late = buffer.stats.late_dropped if buffer else 0
+    reconciled = (f"records: {reader.records_read:,} read = "
+                  f"{skipped_training:,} training-window skipped + "
+                  f"{skipped_resume:,} resume skipped + "
+                  f"{engine.observed:,} observed + {late:,} late-dropped")
     if interrupted:
         # Graceful SIGTERM/SIGINT: the buffer stays unflushed (its
         # records are re-read on resume by the time-based skip above),
@@ -573,11 +615,14 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
             print(f"checkpoint saved to {args.checkpoint}", file=sys.stderr)
         print(f"replayed {engine.observed:,} observations to "
               f"t={detector.last_time:,.1f}s")
+        print(f"{reconciled} + {buffer.pending if buffer else 0:,} "
+              f"still buffered")
         return 0
 
     end = detector.last_time
     try:
-        results = detector.finalize(end)
+        with tracer.span("detector.finalize"):
+            results = detector.finalize(end)
     except ErrorBudgetExceeded as error:
         print(f"error budget exceeded: {error}", file=sys.stderr)
         if args.health_report:
@@ -593,6 +638,7 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
         _save()
         print(f"checkpoint saved to {args.checkpoint}")
     print(f"replayed {engine.observed:,} observations to t={end:,.1f}s")
+    print(reconciled)
     if buffer:
         stats = buffer.stats
         print(f"reorder buffer: {stats.out_of_order} out-of-order arrivals "

@@ -14,6 +14,7 @@ suite pins them to identical decisions on identical input.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from ..net.addr import Family
 from ..obs.explain import resolve_explain
 from ..obs.metrics import resolve_registry
 from ..telescope.aggregate import BinGrid, binned_counts
+from ..telescope.capture import RecordChunk
 from ..telescope.records import Observation
 from ..timeline import OutageEvent, Timeline
 from .belief import BeliefState, columnar_update, guarded_belief_pass
@@ -532,20 +534,126 @@ class StreamingDetector:
         self._advance_block(key, state, observation.time)
         # Gap detector: a silence longer than the trained threshold is an
         # outage bounded by exact packet times, regardless of bin state.
-        threshold = state.params.gap_threshold_seconds
         if (state.last_packet is not None
-                and observation.time - state.last_packet > threshold):
-            mean_gap = (1.0 / state.history.mean_rate
-                        if state.history.mean_rate > 0
-                        else state.params.bin_seconds)
-            guard = min(self.refinement.guard_gaps * mean_gap,
-                        threshold / 2.0)
-            state.transitions.append((state.last_packet + guard, False))
-            state.transitions.append((observation.time - guard, True))
+                and observation.time - state.last_packet
+                > state.params.gap_threshold_seconds):
+            self._gap_outage(state, state.last_packet, observation.time)
         if state.first_packet_this_bin is None:
             state.first_packet_this_bin = observation.time
         state.bin_count += 1
         state.last_packet = observation.time
+
+    def _gap_outage(self, state: _StreamBlockState, last_packet: float,
+                    time: float) -> None:
+        """Record the outage a silence from ``last_packet`` to ``time``
+        (longer than the gap threshold) proves, guarded inwards."""
+        threshold = state.params.gap_threshold_seconds
+        mean_gap = (1.0 / state.history.mean_rate
+                    if state.history.mean_rate > 0
+                    else state.params.bin_seconds)
+        guard = min(self.refinement.guard_gaps * mean_gap, threshold / 2.0)
+        state.transitions.append((last_packet + guard, False))
+        state.transitions.append((time - guard, True))
+
+    def observe_batch(self, chunk: RecordChunk) -> np.ndarray:
+        """Feed time-ordered rows, as :meth:`observe` row by row would.
+
+        The rows must be finite, non-decreasing and not behind
+        :attr:`last_time` (what a reorder buffer releases), and must
+        cross no boundary the caller drives :meth:`advance` at — the
+        live engine cuts its batches there.  Per block the rows join
+        the open bin (``bin_count``, ``first_packet_this_bin``,
+        ``last_packet``) and the gap detector runs on consecutive
+        packet times; the sentinel takes one ``observe_bulk`` per
+        sentinel bin.  A row at or past its block's ``next_bin_end``
+        would close bins by packet catch-up: that row goes through
+        :meth:`observe` itself, in stream order.  Returns which rows
+        belong to a block still tracked after the row (the drift
+        auditor notes exactly those).
+        """
+        tracked = np.zeros(len(chunk), dtype=bool)
+        start = 0
+        while start < len(chunk):
+            start = self._observe_run(chunk, start, tracked)
+            if start < len(chunk):
+                row = chunk.observation(start)
+                self.observe(row)
+                tracked[start] = row.block_key in self._states
+                start += 1
+        return tracked
+
+    def _observe_run(self, chunk: RecordChunk, start: int,
+                     tracked: np.ndarray) -> int:
+        """Observe rows from ``start`` up to the first that closes a bin
+        by catch-up; returns that row's index (``len(chunk)`` if none)."""
+        times = chunk.times[start:]
+        mine = np.flatnonzero((chunk.families[start:] == int(self.family))
+                              & chunk.keyable[start:])
+        stop = len(times)
+        if mine.size:
+            keys, inverse = np.unique(chunk.keys[start:][mine],
+                                      return_inverse=True)
+            states = [self._states.get(key) for key in keys.tolist()]
+            next_end = np.array([math.inf if state is None
+                                 else state.next_bin_end
+                                 for state in states])
+            due = np.flatnonzero(times[mine] >= next_end[inverse])
+            if due.size:
+                stop = int(mine[due[0]])
+                mine, inverse = mine[:due[0]], inverse[:due[0]]
+        if stop == 0:
+            return start
+        times = times[:stop]
+        self._last_time = max(self._last_time, float(times[-1]))
+        self._m_observations.inc(stop)
+        sentinel = self.sentinel
+        if sentinel is not None:
+            row = 0
+            while row < stop:
+                time = float(times[row])
+                sentinel.advance(time)
+                end = row + int(np.searchsorted(times[row:], sentinel.bin_end))
+                sentinel.observe_bulk(time, end - row)
+                row = end
+        if mine.size:
+            live = np.array([state is not None for state in states])
+            tracked[start + mine[live[inverse]]] = True
+            self._observe_blocks(times[mine], inverse, states)
+        return start + stop
+
+    def _observe_blocks(self, times: np.ndarray, inverse: np.ndarray,
+                        states: List[Optional[_StreamBlockState]]) -> None:
+        """Add each block's rows (``times`` grouped by ``inverse`` into
+        ``states``; None = untracked) to its open bin."""
+        order = np.argsort(inverse, kind="stable")
+        grouped = times[order]
+        counts = np.bincount(inverse, minlength=len(states))
+        present = np.flatnonzero(counts)
+        states = [states[index] for index in present.tolist()]
+        counts = counts[present]
+        ends = np.cumsum(counts)
+        begins = ends - counts
+        previous = np.concatenate(([math.nan], grouped[:-1]))
+        previous[begins] = [math.nan if state is None
+                            or state.last_packet is None
+                            else state.last_packet for state in states]
+        thresholds = np.array([math.inf if state is None
+                               else state.params.gap_threshold_seconds
+                               for state in states])
+        gaps = np.flatnonzero(grouped - previous
+                              > np.repeat(thresholds, counts))
+        for row in gaps.tolist():
+            state = states[int(np.searchsorted(ends, row, side="right"))]
+            self._gap_outage(state, float(previous[row]), float(grouped[row]))
+        for state, count, first, last in zip(
+                states, counts.tolist(), grouped[begins].tolist(),
+                grouped[ends - 1].tolist()):
+            if state is None:
+                continue
+            if state.first_packet_this_bin is None:
+                state.first_packet_this_bin = first
+            state.bin_count += count
+            state.last_packet = last
 
     def advance(self, now: float) -> None:
         """Flush every block's complete bins up to wall-clock ``now``.

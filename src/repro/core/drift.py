@@ -226,6 +226,23 @@ class RollingRateAuditor:
             self._arrivals[key] = queue
         queue.append(float(time))
 
+    def note_batch(self, keys: np.ndarray, times: np.ndarray) -> None:
+        """Record many arrivals at once (each key's rows in stream order)."""
+        if not len(keys):
+            return
+        order = np.argsort(keys, kind="stable")
+        keys, times = keys[order], times[order].tolist()
+        starts = np.flatnonzero(np.concatenate(([True],
+                                               keys[1:] != keys[:-1])))
+        bounds = starts.tolist() + [len(times)]
+        for key, low, high in zip(keys[starts].tolist(), bounds,
+                                  bounds[1:]):
+            queue = self._arrivals.get(key)
+            if queue is None:
+                queue = deque()
+                self._arrivals[key] = queue
+            queue.extend(times[low:high])
+
     def arrivals(self, key: int) -> List[float]:
         """The retained arrivals for one block, oldest first."""
         return list(self._arrivals.get(key, ()))

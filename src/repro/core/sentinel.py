@@ -197,6 +197,12 @@ class VantageSentinel:
         """Close bins up to wall-clock ``now`` (judges total silence)."""
         self._close_bins_to(now)
 
+    @property
+    def bin_end(self) -> float:
+        """End of the bin now accumulating: an arrival before it closes
+        nothing."""
+        return self._bin_start + self.config.bin_seconds
+
     # -- judging ------------------------------------------------------------
 
     @property

@@ -81,6 +81,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from .core.checkpoint import (
     CheckpointFormatError,
     load_checkpoint_rotated,
@@ -132,7 +134,7 @@ from .parallel import (
     _process_rss_mb,
     plan_shards,
 )
-from .telescope.capture import CaptureReader
+from .telescope.capture import CaptureReader, RecordChunk
 from .telescope.records import Observation, TaggedObservation
 from .telescope.reorder import LatePolicy, ReorderBuffer
 
@@ -280,6 +282,71 @@ class LiveBlockEngine:
         else:
             self._process(observation)
 
+    def feed_batch(self, chunk: RecordChunk, until: float = math.inf
+                   ) -> int:
+        """Feed ``chunk``'s rows in order, exactly as :meth:`feed` row by
+        row; returns how many rows it consumed.
+
+        Stops right after the first row after which
+        ``detector.last_time >= until``, so a caller can checkpoint on
+        the same arrival the per-row loop would.  No record at or past
+        ``until`` can be released before the first row whose time minus
+        the reorder horizon reaches it, so every row before that goes
+        through the batch path; from there rows go through :meth:`feed`
+        until the clock reaches ``until`` (the stop is normally that
+        very row).  Single-source engines only.
+        """
+        if self._fused:
+            raise TypeError("feed_batch drives single-source engines only")
+        detector = self.detector
+        buffer = self.buffer
+        times = chunk.times
+        ahead = 0
+        if detector.last_time < until and (buffer is None
+                                           or buffer.watermark < until):
+            horizon = buffer.horizon_seconds if buffer is not None else 0.0
+            ahead = len(times)
+            # Look near the front first: under a short status cadence
+            # the stop is a few rows away on every call.
+            for head in (times[:16], times):
+                reach = np.flatnonzero(head - horizon >= until)
+                if reach.size:
+                    ahead = int(reach[0])
+                    break
+        consumed = 0
+        while consumed < ahead:
+            consumed += self._feed_rows(chunk[consumed:ahead])
+            if consumed < ahead:
+                # A row the batch path leaves to the per-row one.
+                self.feed(chunk.observation(consumed))
+                consumed += 1
+                if detector.last_time >= until:
+                    return consumed
+        while consumed < len(times):
+            self.feed(chunk.observation(consumed))
+            consumed += 1
+            if detector.last_time >= until:
+                break
+        return consumed
+
+    def _feed_rows(self, rows: RecordChunk) -> int:
+        """Push rows through the buffer (or straight through without one)
+        and observe what is released, up to the first row :meth:`feed`
+        must take: a non-finite time, a backwards one without a buffer,
+        or a late one the buffer's policy raises on or admits."""
+        if self.buffer is not None:
+            consumed, released = self.buffer.push_batch(rows)
+        else:
+            times = rows.times
+            clock = np.maximum(self.detector.last_time, np.concatenate(
+                ([-math.inf], np.maximum.accumulate(times)))[:-1])
+            bad = np.flatnonzero(~np.isfinite(times)
+                                 | (times < clock - 1e-9))
+            consumed = int(bad[0]) if bad.size else len(times)
+            released = rows[:consumed]
+        self._observe_released(released)
+        return consumed
+
     def advance_front(self, front: float) -> None:
         """Advance the buffer watermark from the global stream front.
 
@@ -328,22 +395,24 @@ class LiveBlockEngine:
 
     # -- stream-order core --------------------------------------------------
 
-    def _process(self, observation: Observation) -> None:
+    def _cross(self, time: float) -> None:
+        """Fire every advance-grid point and audit boundary at or before
+        ``time``, in ascending stream-time order.
+
+        Called *before* observing the record at ``time``: all arrivals
+        < B are in, none >= B — the same cut both deployment shapes see
+        regardless of how the population is partitioned.  Advances win
+        ties so an audit at B reads block state with every bin boundary
+        <= B already closed (identical in both shapes, since the
+        supervisor ships the single cadence grid to all workers).
+        """
         auditor = self.auditor
-        # Fire every advance-grid point and audit boundary the stream
-        # just crossed, in ascending stream-time order, *before*
-        # observing the record that crossed them: all arrivals < B are
-        # in, none >= B — the same cut both deployment shapes see
-        # regardless of how the population is partitioned.  Advances
-        # win ties so an audit at B reads block state with every bin
-        # boundary <= B already closed (identical in both shapes, since
-        # the supervisor ships the single cadence grid to all workers).
         while True:
             next_advance = self._next_advance
             due_advance = (next_advance is not None
-                           and observation.time >= next_advance)
+                           and time >= next_advance)
             due_audit = (auditor is not None
-                         and observation.time >= auditor.next_boundary)
+                         and time >= auditor.next_boundary)
             if due_advance and (not due_audit
                                 or next_advance <= auditor.next_boundary):
                 self.detector.advance(next_advance)
@@ -354,6 +423,19 @@ class LiveBlockEngine:
                 auditor.next_boundary = boundary + auditor.audit_every
             else:
                 break
+
+    def _next_boundary(self) -> float:
+        """The earliest advance-grid point or audit boundary not fired."""
+        boundary = math.inf
+        if self._next_advance is not None:
+            boundary = self._next_advance
+        if self.auditor is not None:
+            boundary = min(boundary, self.auditor.next_boundary)
+        return boundary
+
+    def _process(self, observation: Observation) -> None:
+        auditor = self.auditor
+        self._cross(observation.time)
         vantage = getattr(observation, "vantage", "")
         if vantage and self._fused:
             self.detector.observe_from(vantage, observation)
@@ -367,6 +449,29 @@ class LiveBlockEngine:
                 auditor.note(key, observation.time)
         if self.fault_plan is not None:
             self.fault_plan.on_windows(self.detector.windows_closed)
+
+    def _observe_released(self, released: RecordChunk) -> None:
+        """Observe released rows in stream order, cutting them at every
+        advance-grid point and audit boundary as :meth:`_process`
+        does."""
+        if self.fault_plan is not None:
+            # The chaos channel's window triggers fire after each record.
+            for row in range(len(released)):
+                self._process(released.observation(row))
+            return
+        times = released.times
+        auditor = self.auditor
+        start = 0
+        while start < len(times):
+            self._cross(float(times[start]))
+            stop = start + int(np.searchsorted(times[start:],
+                                               self._next_boundary()))
+            rows = released[start:stop]
+            tracked = self.detector.observe_batch(rows)
+            self.observed += stop - start
+            if auditor is not None:
+                auditor.note_batch(rows.keys[tracked], rows.times[tracked])
+            start = stop
 
     def _audit(self, boundary: float) -> None:
         detector = self.detector

@@ -15,16 +15,28 @@ Record layout (27 bytes, network byte order), defined once as
     byte[16] source address, big-endian, zero-padded
     uint16   qtype
 
-Bulk reads and writes (``read_all``, ``write_batch``) are columnar, one
-structured array per call; streaming reads (``read_one``, iteration)
-decode one record at a time.  Both report the first bad frame.
+Reads come in three shapes, all reporting the first bad frame:
+
+* bulk (``read_all``): the whole remainder as per-family
+  :class:`~repro.telescope.records.ObservationBatch` columns — batch
+  ``detect`` and ``train``;
+* chunked (``read_chunk``): at most ``CHUNK_RECORDS`` records as one
+  :class:`RecordChunk` in file order across families — single-process
+  ``live``, which must keep the interleaving the tap delivered;
+* per record (``read_one``, iteration): one
+  :class:`~repro.telescope.records.Observation` at a time — ``serve``
+  and the partition supervisor, which hand records on one by one.
+
+Bulk and chunked reads share one decode (``_decode``: a single
+``np.frombuffer`` over ``_RECORD_DTYPE`` plus a vectorised family
+check); ``write_batch`` fills the same dtype.
 """
 
 from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterator, Optional, Tuple, Union
+from typing import BinaryIO, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,8 +44,8 @@ from ..net.addr import Family
 from .records import Observation, ObservationBatch
 
 __all__ = ["CaptureError", "CaptureCorruptionError", "CaptureWriter",
-           "CaptureReader", "write_batches", "read_batches", "MAGIC",
-           "VERSION"]
+           "CaptureReader", "RecordChunk", "write_batches", "read_batches",
+           "record_byte_offset", "CHUNK_RECORDS", "MAGIC", "VERSION"]
 
 MAGIC = b"POBS"
 VERSION = 1
@@ -42,6 +54,9 @@ _RECORD = struct.Struct("!dB16sH")
 _RECORD_DTYPE = np.dtype([("time", ">f8"), ("family", "u1"),
                           ("source", "u1", (16,)), ("qtype", ">u2")])
 assert _RECORD_DTYPE.itemsize == _RECORD.size
+#: records per :meth:`CaptureReader.read_chunk` (~440 kB of payload):
+#: bounds ``live``'s decode memory whatever the capture size.
+CHUNK_RECORDS = 1 << 14
 
 #: Where each family's block key sits in the source address: the
 #: big-endian 64-bit word at this byte of the 16, and the right shift
@@ -65,6 +80,81 @@ def _family_batch(records: np.ndarray, family: Family) -> ObservationBatch:
     keys >>= _KEY_WORD[family][1]
     return ObservationBatch(family, records["time"].astype(np.float64),
                             keys, records["qtype"].astype(np.uint16))
+
+
+def record_byte_offset(index: int) -> int:
+    """Where record ``index`` (0-based) starts in a capture file."""
+    return _HEADER.size + index * _RECORD.size
+
+
+class RecordChunk:
+    """Decoded capture records in file order, both families interleaved.
+
+    Columns (native-endian): ``times`` (float64), ``families`` (uint8),
+    ``keys`` (uint64 block keys, by the same word arithmetic as
+    :meth:`CaptureReader.read_all`) and ``keyable`` — False for an IPv4
+    record whose garbage high address bytes put its
+    :attr:`~repro.telescope.records.Observation.block_key` beyond 64
+    bits, so it can match no tracked block.  ``records`` keeps the raw
+    rows, from which :meth:`observation` rebuilds the full source
+    address.  Index or slice a chunk like an array.
+    """
+
+    __slots__ = ("records", "times", "families", "keys", "keyable")
+
+    def __init__(self, records: np.ndarray,
+                 times: Optional[np.ndarray] = None,
+                 families: Optional[np.ndarray] = None,
+                 keys: Optional[np.ndarray] = None,
+                 keyable: Optional[np.ndarray] = None) -> None:
+        self.records = records
+        if times is None:
+            families = records["family"]
+            times = records["time"].astype(np.float64)
+            ipv4 = families == int(Family.IPV4)
+            keys = np.where(ipv4, _key_word(records, Family.IPV4),
+                            _key_word(records, Family.IPV6)
+                            >> _KEY_WORD[Family.IPV6][1]).astype(np.uint64)
+            high = _KEY_WORD[Family.IPV4][0]
+            keyable = ~(ipv4 & records["source"][:, :high].any(axis=1))
+        self.times = times
+        self.families = families
+        self.keys = keys
+        self.keyable = keyable
+
+    @classmethod
+    def from_observations(cls, observations: Sequence[Observation]
+                          ) -> "RecordChunk":
+        """Encode observations as a chunk (the inverse of
+        :meth:`observation`)."""
+        records = np.zeros(len(observations), dtype=_RECORD_DTYPE)
+        for row, observation in enumerate(observations):
+            records[row] = (observation.time, int(observation.family),
+                            np.frombuffer(observation.source.to_bytes(
+                                16, "big"), np.uint8), observation.qtype)
+        return cls(records)
+
+    @classmethod
+    def concat(cls, chunks: Sequence["RecordChunk"]) -> "RecordChunk":
+        # np.concatenate would make the big-endian record layout native.
+        records, *columns = (np.concatenate([getattr(chunk, name)
+                                             for chunk in chunks])
+                             for name in cls.__slots__)
+        return cls(records.astype(_RECORD_DTYPE, copy=False), *columns)
+
+    def __len__(self) -> int:
+        return int(self.times.size)
+
+    def __getitem__(self, rows) -> "RecordChunk":
+        return RecordChunk(*(getattr(self, name)[rows]
+                             for name in self.__slots__))
+
+    def observation(self, row: int) -> Observation:
+        """Row ``row`` as an :class:`Observation`, full source included."""
+        time, family, source, qtype = _RECORD.unpack(
+            self.records[row].tobytes())
+        return Observation(time, Family(family),
+                           int.from_bytes(source, "big"), qtype)
 
 
 class CaptureError(IOError):
@@ -166,6 +256,7 @@ class CaptureReader:
         self.tolerant = tolerant
         self.records_read = 0
         self.stopped_early = False
+        self._fault: Optional[str] = None  # read_chunk's deferred bad frame
         header = self._file.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise CaptureError("capture shorter than its header")
@@ -183,14 +274,12 @@ class CaptureReader:
                 return
             yield observation
 
-    def _byte_offset(self) -> int:
-        return _HEADER.size + self.records_read * _RECORD.size
-
     def _corrupt(self, message: str) -> Optional[Observation]:
         if self.tolerant:
             self.stopped_early = True
             return None
-        raise CaptureCorruptionError(message, self._byte_offset(),
+        raise CaptureCorruptionError(message,
+                                     record_byte_offset(self.records_read),
                                      self.records_read)
 
     def read_one(self) -> Optional[Observation]:
@@ -214,31 +303,57 @@ class CaptureReader:
         return Observation(time, family,
                            int.from_bytes(source_bytes, "big"), qtype)
 
-    def read_all(self) -> Tuple[ObservationBatch, ObservationBatch]:
-        """Bulk-load the remaining records into per-family batches.
-
-        One columnar pass over the payload.  The first bad frame — a bad
-        family byte, else a trailing partial record — is reported as
-        :meth:`read_one` reports it.  Returns ``(ipv4_batch,
-        ipv6_batch)``; either may be empty.
-        """
-        payload = b"" if self.stopped_early else self._file.read()
+    def _decode(self, payload: bytes) -> Tuple[np.ndarray, Optional[str]]:
+        """The good prefix of ``payload`` as a record array, and what is
+        wrong with the first bad frame after it (a bad family byte, else
+        a trailing partial record), or None.  Counts the good records."""
         good, trailing = divmod(len(payload), _RECORD.size)
         records = np.frombuffer(payload, dtype=_RECORD_DTYPE, count=good)
         families = records["family"]
         bad = np.flatnonzero((families != int(Family.IPV4))
                              & (families != int(Family.IPV6)))
+        fault = None
         if bad.size:
             good = int(bad[0])
-        self.records_read += good
-        if bad.size:
-            self._corrupt(f"bad family byte {families[good]}")
+            fault = f"bad family byte {families[good]}"
         elif trailing:
-            self._corrupt(f"truncated record at end of capture "
-                          f"({trailing} of {_RECORD.size} bytes)")
-        records = records[:good]
+            fault = (f"truncated record at end of capture "
+                     f"({trailing} of {_RECORD.size} bytes)")
+        self.records_read += good
+        return records[:good], fault
+
+    def read_all(self) -> Tuple[ObservationBatch, ObservationBatch]:
+        """Bulk-load the remaining records into per-family batches.
+
+        One columnar pass over the payload.  The first bad frame is
+        reported as :meth:`read_one` reports it.  Returns ``(ipv4_batch,
+        ipv6_batch)``; either may be empty.
+        """
+        records, fault = self._decode(
+            b"" if self.stopped_early else self._file.read())
+        if fault is not None:
+            self._corrupt(fault)
         return (_family_batch(records, Family.IPV4),
                 _family_batch(records, Family.IPV6))
+
+    def read_chunk(self, limit: int = CHUNK_RECORDS
+                   ) -> Optional[RecordChunk]:
+        """Decode up to ``limit`` records in file order; None at EOF.
+
+        Like :meth:`read_one`, a bad frame first yields the good records
+        before it, and the *next* call raises (or, ``tolerant``, stops
+        with None).
+        """
+        if self._fault is not None:
+            fault, self._fault = self._fault, None
+            return self._corrupt(fault)
+        if self.stopped_early:
+            return None
+        records, self._fault = self._decode(
+            self._file.read(limit * _RECORD.size))
+        if not len(records):
+            return self.read_chunk() if self._fault is not None else None
+        return RecordChunk(records)
 
     def close(self) -> None:
         if self._owns:

@@ -30,6 +30,14 @@ Within the horizon the buffer is *lossless and exact*: any input that is
 a bounded permutation of a sorted stream is restored to that sorted
 stream, which is what lets the fault-injection suite pin "10% reorder
 within the horizon produces bit-identical events".
+
+Arrivals enter one at a time (:meth:`ReorderBuffer.push`: ``serve`` and
+the partition workers) or as a :class:`~repro.telescope.capture.RecordChunk`
+(:meth:`ReorderBuffer.push_batch`: single-process ``live``).  The batch
+form computes the same per-arrival watermark arithmetic with array
+running maxima, so both give the same late verdicts, release order,
+stats and heap; a batch only materialises the records still held at
+its end as :class:`Observation` s.
 """
 
 from __future__ import annotations
@@ -40,7 +48,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..obs.metrics import resolve_registry
+from .capture import RecordChunk
 from .records import Observation, TaggedObservation
 
 __all__ = ["LatePolicy", "ReorderStats", "ReorderBuffer", "reorder_stream"]
@@ -186,6 +197,101 @@ class ReorderBuffer:
             self._m_occupancy_peak.set(stats.occupancy_peak)
         self._front = max(self._front, time)
         return self._drain(self.watermark)
+
+    def push_batch(self, chunk: RecordChunk) -> Tuple[int, RecordChunk]:
+        """Push ``chunk``'s rows in order, as :meth:`push` row by row.
+
+        Stops before the first row :meth:`push` would raise on or emit
+        out of order (a non-finite time; a late row under
+        ``RAISE``/``ADMIT``): the caller hands that row to :meth:`push`.
+        Returns ``(rows consumed, records released)``, the released ones
+        in release order.
+
+        Per arrival ``i``: the front is the running maximum of arrival
+        times (a late arrival is behind the front, so including it
+        changes nothing), the emission boundary before ``i`` is
+        ``max(emitted_up_to, front[i-1] - horizon)``, and a held record
+        is released by the first arrival whose watermark reaches it.
+        """
+        stats = self.stats
+        horizon = self.horizon_seconds
+        times = chunk.times
+        bad = np.flatnonzero(~np.isfinite(times))
+        if bad.size:
+            times = times[:bad[0]]
+        seen = np.maximum.accumulate(times)
+        before = np.concatenate(([-math.inf], seen))[:-1]
+        late = times < np.maximum(
+            self._emitted_up_to, np.maximum(self._front, before) - horizon)
+        if self.policy in (LatePolicy.RAISE, LatePolicy.ADMIT) and late.any():
+            cut = int(np.argmax(late))
+            times, seen, before, late = (times[:cut], seen[:cut],
+                                         before[:cut], late[:cut])
+        consumed = len(times)
+        if not consumed:
+            return 0, chunk[:0]
+        watermark = np.maximum(self._front, seen) - horizon
+        # Candidates: the held records (older sequence numbers), then
+        # this batch's on-time arrivals; each is released by the first
+        # arrival at or after its own whose watermark reaches it.
+        held = sorted(self._heap)
+        pushed = np.flatnonzero(~late)
+        candidate_times = np.concatenate(
+            (np.array([entry[0] for entry in held], dtype=float),
+             times[pushed]))
+        release = np.searchsorted(watermark, candidate_times, side="left")
+        release[len(held):] = np.maximum(release[len(held):], pushed)
+        released = np.flatnonzero(release < consumed)
+        order = released[np.lexsort((released, candidate_times[released]))]
+        # Stats, exactly as the per-row path accumulates them.
+        stats.pushed += consumed
+        last = np.maximum(self._last_arrival, before)
+        behind = times < last
+        if behind.any():
+            stats.out_of_order += int(behind.sum())
+            stats.max_displacement_seconds = max(
+                stats.max_displacement_seconds,
+                float((last - times)[behind].max()))
+        self._last_arrival = max(self._last_arrival, float(seen[-1]))
+        dropped = int(late.sum())
+        if dropped:
+            stats.late_total += dropped
+            stats.late_dropped += dropped
+            self._m_late_dropped.inc(dropped)
+        if len(pushed):
+            released_by = np.searchsorted(np.sort(release[released]), pushed)
+            occupancy = len(held) + np.arange(1, len(pushed) + 1) - released_by
+            peak = int(occupancy.max())
+            if peak > stats.occupancy_peak:
+                stats.occupancy_peak = peak
+                self._m_occupancy_peak.set(peak)
+            self._front = max(self._front, float(seen[-1]))
+            self._emitted_up_to = max(self._emitted_up_to,
+                                      float(watermark[pushed[-1]]))
+        # The new heap: held entries keep their tuples; pending batch
+        # rows become ordinary observations with the next sequences.
+        waiting = np.ones(len(candidate_times), dtype=bool)
+        waiting[released] = False
+        heap = [held[index] for index in np.flatnonzero(waiting[:len(held)])]
+        for index in np.flatnonzero(waiting[len(held):]).tolist():
+            row = int(pushed[index])
+            heap.append((float(times[row]), self._sequence + index,
+                         chunk.observation(row)))
+        heapq.heapify(heap)
+        self._heap = heap
+        self._sequence += len(pushed)
+        if released.size:
+            # The gauge holds the occupancy after the last releasing drain.
+            stats.emitted += int(released.size)
+            self._m_admitted.inc(int(released.size))
+            last_drain = release[released].max()
+            self._m_occupancy.set(
+                len(held) + int(np.searchsorted(pushed, last_drain, "right"))
+                - int(released.size))
+        out = RecordChunk.concat(
+            (RecordChunk.from_observations([entry[2] for entry in held]),
+             chunk[pushed]))
+        return consumed, out[order]
 
     def flush(self) -> List[Observation]:
         """Release everything still buffered, in time order."""

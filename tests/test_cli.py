@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import (EXIT_BUDGET_TRIPPED, EXIT_DEGRADED_COVERAGE,
                        build_parser, main)
+from repro.telescope.capture import read_batches
 
 
 class TestParser:
@@ -113,6 +114,113 @@ class TestLiveMonitor:
         assert "resumed from" in out
         assert "replayed 0 observations" in out
 
+    def _disordered(self, tmp_path, capture):
+        """``capture`` rewritten in arrival order with bounded disorder:
+        records displaced within a 2 s horizon, a few beyond it."""
+        from repro.telescope.capture import write_batches
+
+        ipv4, _ = read_batches(str(capture))
+        rng = np.random.default_rng(3)
+        times = ipv4.times.copy()
+        live = np.flatnonzero(times > 86400.0 + 100.0)
+        picked = rng.choice(live, size=400, replace=False)
+        times[picked[:380]] -= rng.uniform(0.1, 1.9, 380)
+        times[picked[380:]] -= rng.uniform(10.0, 20.0, 20)
+        path = tmp_path / "disordered.pobs"
+        write_batches(str(path), type(ipv4)(ipv4.family, times,
+                                            ipv4.block_keys, ipv4.qtypes))
+        return path, len(times)
+
+    @staticmethod
+    def _reconciliation(out):
+        """The ``records:`` line's terms, by name."""
+        import re
+
+        line = next(line for line in out.splitlines()
+                    if line.startswith("records: "))
+        terms = {name.strip(): int(value.replace(",", ""))
+                 for value, name in re.findall(r"([\d,]+) ([a-z -]+)",
+                                               line)}
+        read = terms.pop("read")
+        assert read == sum(terms.values()), line
+        return read, terms
+
+    def test_live_record_counts_reconcile(self, tmp_path, capsys):
+        capture, model = self._prepare(tmp_path)
+        disordered, total = self._disordered(tmp_path, capture)
+        capsys.readouterr()
+        assert main(["live", str(disordered), "--model", str(model),
+                     "--reorder-horizon", "2.0"]) == 0
+        read, terms = self._reconciliation(capsys.readouterr().out)
+        assert read == total
+        assert terms["late-dropped"] > 0
+        assert terms["training-window skipped"] > 0
+        assert terms["resume skipped"] == 0
+        # Resumed: the first 75% of the capture, then all of it.
+        data = disordered.read_bytes()
+        part = tmp_path / "part.pobs"
+        part.write_bytes(data[:8 + (total * 3 // 4) * 27])
+        checkpoint = tmp_path / "ckpt.json"
+        args = ["--model", str(model), "--reorder-horizon", "2.0",
+                "--checkpoint", str(checkpoint)]
+        assert main(["live", str(part)] + args) == 0
+        capsys.readouterr()
+        assert main(["live", str(disordered)] + args) == 0
+        read, resumed = self._reconciliation(capsys.readouterr().out)
+        assert read == total
+        assert resumed["resume skipped"] > 0
+        assert resumed["observed"] < terms["observed"]
+
+    def test_interrupted_live_counts_what_is_still_buffered(
+            self, tmp_path, capsys, monkeypatch):
+        from contextlib import contextmanager
+
+        from repro import cli
+        from repro.telescope.capture import CHUNK_RECORDS
+
+        capture, model = self._prepare(tmp_path)
+        disordered, total = self._disordered(tmp_path, capture)
+        polls = {"count": 0}
+        stop_after = (total // CHUNK_RECORDS) * 3 // 4
+
+        @contextmanager
+        def stop_midway():
+            def requested():
+                polls["count"] += 1
+                return polls["count"] > stop_after
+            yield requested
+
+        monkeypatch.setattr(cli, "_graceful_stop", stop_midway)
+        capsys.readouterr()
+        assert main(["live", str(disordered), "--model", str(model),
+                     "--reorder-horizon", "2.0"]) == 0
+        captured = capsys.readouterr()
+        assert "interrupted" in captured.err
+        read, terms = self._reconciliation(captured.out)
+        assert 0 < read < total
+        assert terms["still buffered"] > 0
+
+    @pytest.mark.parametrize("horizon", ["0", "2.0"])
+    def test_live_reports_non_finite_timestamp_by_capture_record(
+            self, tmp_path, capsys, horizon):
+        from repro.telescope.capture import write_batches
+
+        capture, model = self._prepare(tmp_path)
+        ipv4, _ = read_batches(str(capture))
+        times = ipv4.times.copy()
+        record = int(np.flatnonzero(times >= 86400.0)[0]) + 5000
+        times[record] = float("nan")
+        poisoned = tmp_path / "nan.pobs"
+        write_batches(str(poisoned), type(ipv4)(ipv4.family, times,
+                                                ipv4.block_keys, ipv4.qtypes))
+        capsys.readouterr()
+        assert main(["live", str(poisoned), "--model", str(model),
+                     "--reorder-horizon", horizon]) == 1
+        err = capsys.readouterr().err
+        assert (f"capture record {record} (byte offset {8 + 27 * record}) "
+                f"has a non-finite timestamp") in err
+        assert "--reorder-horizon" not in err
+
     def test_live_family_mismatch_fails_cleanly(self, tmp_path, capsys):
         capture, model = self._prepare(tmp_path)
         capsys.readouterr()
@@ -172,6 +280,22 @@ class TestTelemetry:
         for earlier, later in zip(order, order[1:]):
             assert (spans[earlier]["ts"] + spans[earlier]["dur"]
                     <= spans[later]["ts"]), (earlier, later)
+
+    def test_live_trace_has_flat_ingest_spans(self, tmp_path, capsys):
+        capture, model = self._prepare(tmp_path)
+        trace_path = tmp_path / "trace.json"
+        assert main(["live", str(capture), "--model", str(model),
+                     "--checkpoint", str(tmp_path / "ckpt.json"),
+                     "--trace-out", str(trace_path)]) == 0
+        events = sorted(json.loads(trace_path.read_text())["traceEvents"],
+                        key=lambda event: event["ts"])
+        names = {event["name"] for event in events}
+        assert names == {"capture.decode", "live.feed", "checkpoint.save",
+                         "detector.finalize"}
+        # One span per chunk, batch or save, none inside another.
+        for earlier, later in zip(events, events[1:]):
+            assert earlier["ts"] + earlier["dur"] <= later["ts"], (
+                earlier["name"], later["name"])
 
     def test_live_metrics_embed_in_checkpoint(self, tmp_path, capsys):
         capture, model = self._prepare(tmp_path)

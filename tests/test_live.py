@@ -143,6 +143,38 @@ class TestEquivalence:
         assert not result.degraded
         assert result.restarts == 0
 
+    def test_cli_live_matches_partitioned_cli(self, live_setup, tmp_path,
+                                              capsys):
+        """The columnar single-process CLI path against partitioned
+        workers, which still feed record by record."""
+        capture, _ = live_setup
+        model_path = os.path.join(os.path.dirname(capture), "model.json")
+        runs = {}
+        for name, extra in (("single", []),
+                            ("partitioned",
+                             ["--partitions", "4", "--checkpoint",
+                              str(tmp_path / "parts")])):
+            metrics_path = tmp_path / f"{name}.metrics.json"
+            capsys.readouterr()
+            assert main(["live", capture, "--model", model_path,
+                         "--reorder-horizon", "2.0",
+                         "--drift-audit-every", "7200",
+                         "--metrics-out", str(metrics_path)] + extra) == 0
+            out = capsys.readouterr().out
+            snapshot = json.loads(metrics_path.read_text())
+            counters = {
+                (family["name"], tuple(series["labels"])): series["value"]
+                for family in snapshot["metrics"]
+                if family["name"] in COUNTERS + ["stream_transitions_total",
+                                                 "reorder_records_total"]
+                for series in family["series"]}
+            runs[name] = ([line for line in out.splitlines()
+                           if line.startswith(("  block", "replayed"))
+                           or line.endswith("outage events >= 300s")],
+                          counters)
+        assert runs["single"] == runs["partitioned"]
+        assert runs["single"][0] and runs["single"][1]
+
     def test_partition_count_is_a_deployment_choice(self, live_setup,
                                                     tmp_path):
         capture, model = live_setup

@@ -1,6 +1,7 @@
 """Telescope pipeline: records, capture format, aggregation, streaming."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -361,6 +362,57 @@ def test_read_all_matches_read_one_oracle(corruption, tolerant):
                     assert mine.dtype == oracle.dtype, (context, column)
                     assert mine.tobytes() == oracle.tobytes(), (context,
                                                                 column)
+
+
+def _drain(read):
+    """Rows ``read`` yields (one Observation, or a chunk of them, per
+    call) up to None or an error, and that error's position."""
+    rows, error = [], None
+    try:
+        while True:
+            got = read()
+            if got is None:
+                break
+            rows.extend([got] if isinstance(got, Observation) else
+                        [got.observation(row) for row in range(len(got))])
+    except CaptureCorruptionError as raised:
+        error = (raised.byte_offset, raised.records_read)
+    return [(struct.pack(">d", row.time), row.family, row.source, row.qtype)
+            for row in rows], error
+
+
+@pytest.mark.parametrize("tolerant", [False, True])
+@pytest.mark.parametrize("corruption", [None, "first", "middle", "last",
+                                        "partial", "both"])
+def test_read_chunk_matches_read_one_oracle(corruption, tolerant):
+    """Chunks yield read_one's records in file order, then its error."""
+    for seed in range(4):
+        data = _random_capture(seed, corruption)
+        oracle = CaptureReader(io.BytesIO(data), tolerant=tolerant)
+        want = _drain(oracle.read_one)
+        for limit in (1, 2, 5, 64):
+            reader = CaptureReader(io.BytesIO(data), tolerant=tolerant)
+            assert _drain(lambda: reader.read_chunk(limit)) == want, (
+                seed, limit)
+            assert reader.records_read == oracle.records_read
+            assert reader.stopped_early == oracle.stopped_early
+
+
+def test_read_chunk_columns_match_observations():
+    """Chunk columns agree with each row's Observation, including the
+    IPv4 rows whose garbage high bytes push the block key past 64 bits."""
+    data = _random_capture(7, None)
+    reader = CaptureReader(io.BytesIO(data))
+    chunk = reader.read_chunk()
+    assert reader.read_chunk() is None
+    for row in range(len(chunk)):
+        observation = chunk.observation(row)
+        assert chunk.families[row] == int(observation.family)
+        assert (np.isnan(chunk.times[row]) and np.isnan(observation.time)
+                or chunk.times[row] == observation.time)
+        assert bool(chunk.keyable[row]) == (observation.block_key <= _U64)
+        assert int(chunk.keys[row]) == observation.block_key & _U64
+    assert not chunk.keyable.all()
 
 
 def test_read_all_reports_first_bad_frame():
