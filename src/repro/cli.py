@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -231,10 +232,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _load_capture(args: argparse.Namespace, tracer: object
                   ) -> Optional[Tuple[ObservationBatch,
-                                      Dict[int, np.ndarray]]]:
-    """``args.capture``'s time-sorted IPv``args.family`` batch and its
-    per-block times, under ``capture.decode``/``aggregate.split`` spans;
-    None (after saying why) when it holds no records of that family."""
+                                      Dict[int, np.ndarray], float, float]]:
+    """``args.capture``'s time-sorted IPv``args.family`` batch, its
+    per-block times (under ``capture.decode``/``aggregate.split``
+    spans) and its window ``[start, end)``; None (after saying why)
+    when it holds no finite record of that family."""
     with tracer.span("capture.decode"):
         ipv4, ipv6 = read_batches(args.capture)
     batch = ipv4 if args.family == 4 else ipv6
@@ -244,7 +246,23 @@ def _load_capture(args: argparse.Namespace, tracer: object
         return None
     with tracer.span("aggregate.split", records=len(batch)):
         batch = batch.sorted_by_time()
-        return batch, per_block_times(batch)
+        per_block = per_block_times(batch)
+    # A NaN sorts last: as the window end it would poison every block's
+    # bin grid, not just its own.
+    finite = batch.times[np.isfinite(batch.times)]
+    if not len(finite):
+        print("capture has no finite timestamps", file=sys.stderr)
+        return None
+    return batch, per_block, float(finite[0]), float(finite[-1]) + 1.0
+
+
+def _budget_tripped(error: ErrorBudgetExceeded,
+                    args: argparse.Namespace) -> int:
+    """Report a run too degraded to trust, writing its health report
+    under ``--health-report``; the exit code."""
+    print(f"error budget exceeded: {error}", file=sys.stderr)
+    _write_health_report(args, error.report)
+    return EXIT_BUDGET_TRIPPED
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -256,26 +274,28 @@ def _cmd_train(args: argparse.Namespace) -> int:
     loaded = _load_capture(args, get_tracer())
     if loaded is None:
         return 1
-    batch, per_block = loaded
-    start = float(batch.times[0])
-    end = args.train_end if args.train_end else float(batch.times[-1]) + 1.0
-    pipeline = PassiveOutagePipeline()
-    model = pipeline.train(batch.family, per_block, start, end)
+    batch, per_block, start, end = loaded
+    try:
+        model = PassiveOutagePipeline().train(
+            batch.family, per_block, start, args.train_end or end)
+    except ErrorBudgetExceeded as error:
+        return _budget_tripped(error, args)
     save_model(model, args.out)
     print(f"trained {len(model.parameters)} blocks "
           f"({model.coverage():.1%} measurable) -> {args.out}")
     return 0
 
 
-def _write_health_report(path: str,
+def _write_health_report(args: argparse.Namespace,
                          report: Optional[RunHealthReport]) -> None:
-    """Atomically write a run health report (no-op without a report)."""
+    """Atomically write ``report`` under ``--health-report`` (no-op
+    without the flag or a report)."""
     from .core.serialize import atomic_write_text
 
-    if report is None:
-        return
-    atomic_write_text(path, report.to_json())
-    print(f"health report written to {path}")
+    path = getattr(args, "health_report", "")
+    if path and report is not None:
+        atomic_write_text(path, report.to_json())
+        print(f"health report written to {path}")
 
 
 def _print_quarantine_summary(report: Optional[RunHealthReport]) -> None:
@@ -288,42 +308,50 @@ def _print_quarantine_summary(report: Optional[RunHealthReport]) -> None:
               f"{entry.error_type}: {entry.error}")
 
 
+def _print_outages(results: Dict, min_duration: float) -> None:
+    events = 0
+    for key, block in sorted(results.items()):
+        for event in block.timeline.events(min_duration):
+            events += 1
+            print(f"  block {key:#x}: outage {event.start:,.1f}s "
+                  f"-> {event.end:,.1f}s ({event.duration:,.0f}s)")
+    print(f"{events} outage events >= {min_duration:.0f}s")
+
+
+def _supervision(args: argparse.Namespace,
+                 prefix: str) -> Optional["SupervisionPolicy"]:
+    """The policy ``--{prefix}-timeout/-retries/-max-rss-mb`` ask for;
+    None when none of them is given."""
+    timeout, retries, max_rss_mb = (
+        getattr(args, f"{prefix}_{name}")
+        for name in ("timeout", "retries", "max_rss_mb"))
+    if timeout is None and retries is None and max_rss_mb is None:
+        return None
+    from .parallel import SupervisionPolicy
+
+    return SupervisionPolicy(timeout=timeout,
+                             retries=2 if retries is None else retries,
+                             max_rss_mb=max_rss_mb)
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     """Train on the leading window of a capture, detect on the rest.
 
     With ``--model``, skips training and uses a saved model instead.
     """
-    supervision = None
+    supervision = _supervision(args, "shard")
     workers = args.workers
-    if (args.shard_timeout is not None or args.shard_retries is not None
-            or args.shard_max_rss_mb is not None):
-        from .parallel import SupervisionPolicy
-
-        supervision = SupervisionPolicy(
-            timeout=args.shard_timeout,
-            retries=(args.shard_retries
-                     if args.shard_retries is not None else 2),
-            max_rss_mb=args.shard_max_rss_mb)
-        if not workers:
-            # Supervision is a property of the parallel path; asking
-            # for it implies at least one supervised worker.
-            workers = 1
+    if supervision is not None and not workers:
+        # Supervision is a property of the parallel path; asking for it
+        # implies at least one supervised worker.
+        workers = 1
 
     with _telemetry(args) as telemetry:
         registry, tracer = telemetry.registry, telemetry.tracer
         loaded = _load_capture(args, tracer)
         if loaded is None:
             return 1
-        batch, per_block = loaded
-        # Window bounds must survive poisoned records: a single NaN
-        # timestamp sorts last and would otherwise become the window end
-        # (and poison every block's bin grid, not just its own).
-        finite = batch.times[np.isfinite(batch.times)]
-        if not len(finite):
-            print("capture has no finite timestamps", file=sys.stderr)
-            return 1
-        start = float(finite[0])
-        end = float(finite[-1]) + 1.0
+        batch, per_block, start, end = loaded
         train_end = args.train_end if args.train_end else (start + end) / 2.0
 
         pipeline = PassiveOutagePipeline(
@@ -352,10 +380,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 detect_start = train_end
             result = pipeline.detect(model, evaluate, detect_start, end)
         except ErrorBudgetExceeded as error:
-            print(f"error budget exceeded: {error}", file=sys.stderr)
-            if args.health_report:
-                _write_health_report(args.health_report, error.report)
-            return EXIT_BUDGET_TRIPPED
+            return _budget_tripped(error, args)
 
     print(f"trained {len(model.parameters)} blocks "
           f"({len(model.measurable_keys)} measurable, coverage "
@@ -371,18 +396,94 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                   f"{len(coverage.blocks_lost)}/{coverage.blocks_planned} "
                   f"blocks lost to supervision (workers kept dying); "
                   f"lost blocks are dead-lettered under stage=supervision")
-    if args.health_report:
-        _write_health_report(args.health_report, result.health)
-    events = 0
-    for key, block in sorted(result.blocks.items()):
-        for event in block.timeline.events(args.min_duration):
-            events += 1
-            print(f"  block {key:#x}: outage {event.start:,.1f}s "
-                  f"-> {event.end:,.1f}s ({event.duration:,.0f}s)")
-    print(f"{events} outage events >= {args.min_duration:.0f}s")
+    _write_health_report(args, result.health)
+    _print_outages(result.blocks, args.min_duration)
     if args.strict_coverage and degraded:
         return EXIT_DEGRADED_COVERAGE
     return 0
+
+
+def _capture_failure(error: Exception) -> int:
+    """Say why replaying a capture failed, with the flag that helps
+    (none helps a non-finite timestamp); the exit code."""
+    from .telescope.capture import (CaptureCorruptionError,
+                                    NonFiniteTimestampError)
+
+    if isinstance(error, CaptureCorruptionError):
+        print(f"corrupt capture: {error}", file=sys.stderr)
+        print("hint: pass --tolerant to stop at the last good frame "
+              "instead", file=sys.stderr)
+    elif isinstance(error, OSError):
+        print(f"cannot read capture: {error}", file=sys.stderr)
+    elif isinstance(error, NonFiniteTimestampError):
+        print(error, file=sys.stderr)
+    else:
+        print(f"capture is not time-sorted: {error}", file=sys.stderr)
+        print("hint: pass --reorder-horizon SECONDS to re-sort bounded "
+              "disorder in-stream", file=sys.stderr)
+    return 1
+
+
+def _stream_model(args: argparse.Namespace) -> Optional["TrainedModel"]:
+    """The ``--model`` a stream replay (``live``, ``serve``) runs; None,
+    after saying why, when it is not for ``--family`` or
+    ``--reorder-horizon`` is negative."""
+    # Imported per call: a module-level import would bind the function
+    # before a wrapper on repro.core.serialize.load_model (perfbench's
+    # probes) is installed, and the wrapper would never see this call.
+    from .core.serialize import load_model
+
+    model = load_model(args.model)
+    if int(model.family) != args.family:
+        print(f"model is IPv{int(model.family)}, not IPv{args.family}",
+              file=sys.stderr)
+        return None
+    if args.reorder_horizon < 0:
+        print(f"--reorder-horizon must be >= 0, got {args.reorder_horizon}",
+              file=sys.stderr)
+        return None
+    return model
+
+
+def _stream_engine(args: argparse.Namespace, model: "TrainedModel",
+                   registry: object, detector: Optional[object] = None,
+                   **options: object) -> "LiveBlockEngine":
+    """The live engine over ``detector`` (default: a fresh streaming
+    detector, with the vantage sentinel under ``--sentinel``) behind
+    the ``--reorder-horizon`` buffer; ``options`` go to the engine."""
+    from .core.detector import StreamingDetector
+    from .live import LiveBlockEngine
+    from .telescope.reorder import LatePolicy, ReorderBuffer
+
+    if detector is None:
+        sentinel = None
+        if getattr(args, "sentinel", False):
+            from .core.sentinel import SentinelConfig, VantageSentinel
+
+            sentinel = VantageSentinel(model.train_end, SentinelConfig())
+        detector = StreamingDetector(model.family, model.histories,
+                                     model.parameters, model.train_end,
+                                     sentinel=sentinel, metrics=registry)
+    buffer = (ReorderBuffer(args.reorder_horizon, LatePolicy.COUNT,
+                            metrics=registry)
+              if args.reorder_horizon > 0 else None)
+    return LiveBlockEngine(detector, buffer=buffer, **options)
+
+
+def _records_line(read: int, engine: "LiveBlockEngine", skipped: int,
+                  resumed: Optional[int] = None,
+                  interrupted: bool = False) -> str:
+    """The ``records:`` line, which accounts for every record read."""
+    buffer = engine.buffer
+    terms = [f"{skipped:,} training-window skipped"]
+    if resumed is not None:
+        terms.append(f"{resumed:,} resume skipped")
+    terms.append(f"{engine.observed:,} observed")
+    terms.append(f"{buffer.stats.late_dropped if buffer else 0:,} "
+                 f"late-dropped")
+    if interrupted:
+        terms.append(f"{buffer.pending if buffer else 0:,} still buffered")
+    return f"records: {read:,} read = " + " + ".join(terms)
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
@@ -395,19 +496,9 @@ def _cmd_live(args: argparse.Namespace) -> int:
     failure quarantine), and periodic atomic checkpoints so a killed
     monitor resumes mid-stream instead of retraining.
     """
-    from .core.serialize import load_model
-
-    model = load_model(args.model)
-    if int(model.family) != args.family:
-        print(f"model is IPv{int(model.family)}, not IPv{args.family}",
-              file=sys.stderr)
+    model = _stream_model(args)
+    if model is None:
         return 1
-
-    if args.reorder_horizon < 0:
-        print(f"--reorder-horizon must be >= 0, got {args.reorder_horizon}",
-              file=sys.stderr)
-        return 1
-
     # The live monitor always meters (force_metrics): checkpoints carry
     # the cumulative telemetry snapshot whether or not this particular
     # invocation asked for --metrics-out, so counters survive a
@@ -430,21 +521,22 @@ def _live_drift_config(args: argparse.Namespace) -> Optional[object]:
 
 
 def _print_live_summary(args: argparse.Namespace, results: Dict,
-                        registry: object) -> int:
-    """Event listing shared by the single and partitioned live paths."""
+                        registry: object,
+                        sentinel: Optional[Tuple[List, float]]) -> None:
+    """Sentinel windows (``(windows, seconds)``), drift swaps and
+    outage events: the tail both live paths print."""
+    if sentinel is not None:
+        windows, seconds = sentinel
+        print(f"sentinel: {len(windows)} quarantined feed windows "
+              f"({seconds:,.0f}s)")
+        for window_start, window_end in windows:
+            print(f"  quarantine {window_start:,.1f}s -> {window_end:,.1f}s")
     swaps = _metric_value(registry, "drift_hot_swaps_total")
     if swaps:
         flagged = _metric_value(registry, "drift_blocks_flagged_total")
         print(f"drift: {flagged:.0f} blocks flagged, "
               f"{swaps:.0f} models hot-swapped")
-    events = 0
-    for key, block in sorted(results.items()):
-        for event in block.timeline.events(args.min_duration):
-            events += 1
-            print(f"  block {key:#x}: outage {event.start:,.1f}s "
-                  f"-> {event.end:,.1f}s ({event.duration:,.0f}s)")
-    print(f"{events} outage events >= {args.min_duration:.0f}s")
-    return events
+    _print_outages(results, args.min_duration)
 
 
 def _run_live(args: argparse.Namespace, model: "TrainedModel",
@@ -454,16 +546,9 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
         load_checkpoint_rotated,
         save_checkpoint_rotated,
     )
-    from .core.detector import StreamingDetector
     from .core.health import ErrorBudget
-    from .core.sentinel import SentinelConfig, VantageSentinel
-    from .live import _PROCESS_FAULT_ENV, LiveBlockEngine
-    from .telescope.capture import (
-        CaptureCorruptionError,
-        CaptureReader,
-        record_byte_offset,
-    )
-    from .telescope.reorder import LatePolicy, ReorderBuffer
+    from .live import _PROCESS_FAULT_ENV
+    from .telescope.capture import CaptureReader, NonFiniteTimestampError
 
     registry, tracer = telemetry.registry, telemetry.tracer
     resume_time = None
@@ -479,38 +564,31 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
             return 1
         resume_time = detector.last_time
         print(f"resumed from {args.checkpoint} at t={resume_time:,.1f}s")
-    if detector is None:
-        sentinel = (VantageSentinel(model.train_end, SentinelConfig())
-                    if args.sentinel else None)
-        detector = StreamingDetector(model.family, model.histories,
-                                     model.parameters, model.train_end,
-                                     sentinel=sentinel, metrics=registry)
-    # The flag wins over a resumed checkpoint's stored budget: the
-    # operator invoking the monitor sets this run's tolerance.
-    detector.budget = ErrorBudget(args.max_quarantine_frac)
-
-    buffer = (ReorderBuffer(args.reorder_horizon, LatePolicy.COUNT,
-                            metrics=registry)
-              if args.reorder_horizon > 0 else None)
     fault_plan = None
     if os.environ.get(_PROCESS_FAULT_ENV):
         # Chaos-suite channel, lazy so production never imports it.
         from .testing.faults import load_streaming_faults
 
         fault_plan = load_streaming_faults(model.parameters)
-    engine = LiveBlockEngine(detector, buffer=buffer,
-                             drift=_live_drift_config(args),
-                             fault_plan=fault_plan)
+    engine = _stream_engine(args, model, registry, detector,
+                            drift=_live_drift_config(args),
+                            fault_plan=fault_plan)
+    detector = engine.detector
+    # The flag wins over a resumed checkpoint's stored budget: the
+    # operator invoking the monitor sets this run's tolerance.
+    detector.budget = ErrorBudget(args.max_quarantine_frac)
     # Resume restores the drift auditor but not the reorder buffer: the
     # time-based skip below re-reads everything that was still buffered
     # at checkpoint time, so restoring the buffer would double-feed it.
     engine.restore(detector.restored_extra, buffer_state=False)
 
-    def _save() -> None:
+    def _save(announce: Optional[object] = None) -> None:
         with tracer.span("checkpoint.save"):
             save_checkpoint_rotated(detector, args.checkpoint,
                                     keep=args.checkpoint_keep,
                                     extra=engine.checkpoint_extra())
+        if announce is not None:
+            print(f"checkpoint saved to {args.checkpoint}", file=announce)
 
     next_checkpoint = (detector.last_time + args.checkpoint_every
                        if args.checkpoint else float("inf"))
@@ -572,12 +650,8 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
                             status_bins = bins
                             next_status = detector.last_time + interval
                     if poisoned.size:
-                        record = first + cut
-                        print(f"capture record {record} (byte offset "
-                              f"{record_byte_offset(record)}) has a "
-                              f"non-finite timestamp t={float(times[cut])!r}",
-                              file=sys.stderr)
-                        return 1
+                        raise NonFiniteTimestampError(first + cut,
+                                                      float(times[cut]))
                 if not interrupted:
                     with tracer.span("live.feed"):
                         engine.flush()
@@ -585,72 +659,43 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
                     print(f"capture corrupt past record "
                           f"{reader.records_read}; stopped at last good "
                           f"frame", file=sys.stderr)
-        except CaptureCorruptionError as error:
-            print(f"corrupt capture: {error}", file=sys.stderr)
-            print("hint: pass --tolerant to stop at the last good frame "
-                  "instead", file=sys.stderr)
-            return 1
-        except OSError as error:
-            print(f"cannot read capture: {error}", file=sys.stderr)
-            return 1
-        except ValueError as error:
-            print(f"capture is not time-sorted: {error}", file=sys.stderr)
-            print("hint: pass --reorder-horizon SECONDS to re-sort bounded "
-                  "disorder in-stream", file=sys.stderr)
-            return 1
+        except (OSError, ValueError) as error:
+            return _capture_failure(error)
 
-    late = buffer.stats.late_dropped if buffer else 0
-    reconciled = (f"records: {reader.records_read:,} read = "
-                  f"{skipped_training:,} training-window skipped + "
-                  f"{skipped_resume:,} resume skipped + "
-                  f"{engine.observed:,} observed + {late:,} late-dropped")
     if interrupted:
         # Graceful SIGTERM/SIGINT: the buffer stays unflushed (its
         # records are re-read on resume by the time-based skip above),
         # the checkpoint lands, and telemetry flushes in _telemetry's
         # finally.  Exit 0: interruption is an operator action.
         print("interrupted: stopping cleanly", file=sys.stderr)
-        if args.checkpoint:
-            _save()
-            print(f"checkpoint saved to {args.checkpoint}", file=sys.stderr)
-        print(f"replayed {engine.observed:,} observations to "
-              f"t={detector.last_time:,.1f}s")
-        print(f"{reconciled} + {buffer.pending if buffer else 0:,} "
-              f"still buffered")
-        return 0
-
-    end = detector.last_time
-    try:
-        with tracer.span("detector.finalize"):
-            results = detector.finalize(end)
-    except ErrorBudgetExceeded as error:
-        print(f"error budget exceeded: {error}", file=sys.stderr)
-        if args.health_report:
-            _write_health_report(args.health_report, detector.last_health)
-        if args.checkpoint:
-            _save()
-            print(f"checkpoint saved to {args.checkpoint}", file=sys.stderr)
-        return EXIT_BUDGET_TRIPPED
-    _print_quarantine_summary(detector.last_health)
-    if args.health_report:
-        _write_health_report(args.health_report, detector.last_health)
+    else:
+        try:
+            with tracer.span("detector.finalize"):
+                results = detector.finalize(detector.last_time)
+        except ErrorBudgetExceeded as error:
+            code = _budget_tripped(error, args)
+            if args.checkpoint:
+                _save(announce=sys.stderr)
+            return code
+        _print_quarantine_summary(detector.last_health)
+        _write_health_report(args, detector.last_health)
     if args.checkpoint:
-        _save()
-        print(f"checkpoint saved to {args.checkpoint}")
-    print(f"replayed {engine.observed:,} observations to t={end:,.1f}s")
-    print(reconciled)
-    if buffer:
-        stats = buffer.stats
+        _save(announce=sys.stderr if interrupted else sys.stdout)
+    print(f"replayed {engine.observed:,} observations to "
+          f"t={detector.last_time:,.1f}s")
+    print(_records_line(reader.records_read, engine, skipped_training,
+                        skipped_resume, interrupted))
+    if interrupted:
+        return 0
+    if engine.buffer:
+        stats = engine.buffer.stats
         print(f"reorder buffer: {stats.out_of_order} out-of-order arrivals "
               f"re-sorted, {stats.late_dropped} beyond-horizon dropped "
               f"(peak occupancy {stats.occupancy_peak})")
-    if detector.sentinel is not None:
-        windows = detector.sentinel.quarantined_intervals()
-        print(f"sentinel: {len(windows)} quarantined feed windows "
-              f"({detector.sentinel.quarantined_seconds():,.0f}s)")
-        for window_start, window_end in windows:
-            print(f"  quarantine {window_start:,.1f}s -> {window_end:,.1f}s")
-    _print_live_summary(args, results, registry)
+    sentinel = detector.sentinel
+    _print_live_summary(args, results, registry, None if sentinel is None
+                        else (sentinel.quarantined_intervals(),
+                              sentinel.quarantined_seconds()))
     return 0
 
 
@@ -659,8 +704,8 @@ def _run_live_partitioned(args: argparse.Namespace, model: "TrainedModel",
     """Live monitoring with the keyspace partitioned across workers."""
     registry = telemetry.registry
     from .live import LivePartitionSupervisor
-    from .parallel import ShardWorkerError, SupervisionPolicy
-    from .telescope.capture import CaptureCorruptionError
+    from .parallel import ShardWorkerError
+    from .telescope.capture import NonFiniteTimestampError
 
     if not args.checkpoint:
         print("partitioned live requires --checkpoint DIR: per-partition "
@@ -668,17 +713,12 @@ def _run_live_partitioned(args: argparse.Namespace, model: "TrainedModel",
               file=sys.stderr)
         return 1
     os.makedirs(args.checkpoint, exist_ok=True)
-    policy = SupervisionPolicy(
-        timeout=args.partition_timeout,
-        retries=(args.partition_retries
-                 if args.partition_retries is not None else 2),
-        max_rss_mb=args.partition_max_rss_mb)
     with _graceful_stop() as stop_requested:
         supervisor = LivePartitionSupervisor(
             model,
             partitions=args.partitions,
             partition_chunk=args.partition_chunk,
-            policy=policy,
+            policy=_supervision(args, "partition"),
             checkpoint_dir=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             checkpoint_keep=args.checkpoint_keep,
@@ -697,51 +737,36 @@ def _run_live_partitioned(args: argparse.Namespace, model: "TrainedModel",
             telemetry.server.health_provider = supervisor.health_document
         try:
             result = supervisor.run(args.capture, tolerant=args.tolerant)
-        except CaptureCorruptionError as error:
-            print(f"corrupt capture: {error}", file=sys.stderr)
-            print("hint: pass --tolerant to stop at the last good frame "
-                  "instead", file=sys.stderr)
-            return 1
-        except OSError as error:
-            print(f"cannot read capture: {error}", file=sys.stderr)
-            return 1
+        except (OSError, NonFiniteTimestampError) as error:
+            return _capture_failure(error)
         except ShardWorkerError as error:
             # A worker's exception is a harness bug, not a block fault
             # (those are dead-lettered in-worker); surface it verbatim.
             print(f"live partition worker failed: {error}", file=sys.stderr)
             return 1
         except ErrorBudgetExceeded as error:
-            print(f"error budget exceeded: {error}", file=sys.stderr)
-            if args.health_report:
-                _write_health_report(args.health_report, error.report)
-            return EXIT_BUDGET_TRIPPED
+            return _budget_tripped(error, args)
 
     if result.stopped_early:
         print(f"capture corrupt past record {result.records_read}; "
               f"stopped at last good frame", file=sys.stderr)
     _print_quarantine_summary(result.health)
-    if args.health_report:
-        _write_health_report(args.health_report, result.health)
+    _write_health_report(args, result.health)
     print(f"partitions: {len(supervisor.partitions)} over "
           f"{len(model.parameters)} blocks (plan {supervisor.digest[:12]}), "
           f"{result.restarts} restarts, "
           f"{result.replayed_rows:,} rows replayed")
     if result.manifest_path:
         print(f"manifest: {result.manifest_path}")
+    print(f"replayed {result.observed:,} observations to "
+          f"t={result.end:,.1f}s")
     if result.interrupted:
         print("interrupted: partition checkpoints flushed; rerun the same "
               "command to resume", file=sys.stderr)
-        print(f"replayed {result.observed:,} observations to "
-              f"t={result.end:,.1f}s")
         return 0
-    print(f"replayed {result.observed:,} observations to "
-          f"t={result.end:,.1f}s")
-    if args.sentinel:
-        print(f"sentinel: {len(result.sentinel_windows)} quarantined feed "
-              f"windows ({result.sentinel_seconds:,.0f}s)")
-        for window_start, window_end in result.sentinel_windows:
-            print(f"  quarantine {window_start:,.1f}s -> {window_end:,.1f}s")
-    _print_live_summary(args, result.results, registry)
+    _print_live_summary(args, result.results, registry,
+                        (result.sentinel_windows, result.sentinel_seconds)
+                        if args.sentinel else None)
     if result.degraded:
         coverage = result.health.coverage
         print(f"live coverage degraded: "
@@ -764,9 +789,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     the capture is exhausted (``-1`` = until SIGTERM), which is how the
     smoke example and a demo deployment use it.
     """
-    from .core.detector import StreamingDetector
-    from .core.serialize import load_model
-    from .live import LiveBlockEngine
     from .serve import (
         AdmissionConfig,
         EngineBridge,
@@ -775,28 +797,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServeConfig,
         ServingPlane,
     )
-    from .telescope.capture import CaptureCorruptionError, CaptureReader
-    from .telescope.reorder import LatePolicy, ReorderBuffer
+    from .telescope.capture import CaptureReader, NonFiniteTimestampError
 
-    model = load_model(args.model)
-    if int(model.family) != args.family:
-        print(f"model is IPv{int(model.family)}, not IPv{args.family}",
-              file=sys.stderr)
-        return 1
-    if args.reorder_horizon < 0:
-        print(f"--reorder-horizon must be >= 0, got {args.reorder_horizon}",
-              file=sys.stderr)
+    model = _stream_model(args)
+    if model is None:
         return 1
 
     with _telemetry(args, force_metrics=True) as telemetry:
         registry = telemetry.registry
-        detector = StreamingDetector(model.family, model.histories,
-                                     model.parameters, model.train_end,
-                                     metrics=registry)
-        buffer = (ReorderBuffer(args.reorder_horizon, LatePolicy.COUNT,
-                                metrics=registry)
-                  if args.reorder_horizon > 0 else None)
-        engine = LiveBlockEngine(detector, buffer=buffer)
+        engine = _stream_engine(args, model, registry)
+        detector = engine.detector
         config = ServeConfig(
             host=args.host, port=args.port,
             admission=AdmissionConfig(
@@ -822,6 +832,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         plane.start()
         print(f"serving plane: {plane.url}", file=sys.stderr)
         interrupted = False
+        skipped = 0
         try:
             with _graceful_stop() as stop_requested:
                 try:
@@ -832,37 +843,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                 interrupted = True
                                 break
                             if observation.time < detector.start:
+                                skipped += 1
                                 continue  # training-window traffic
                             engine.feed(observation)
                             bridge.step()
-                except CaptureCorruptionError as error:
-                    print(f"corrupt capture: {error}", file=sys.stderr)
-                    print("hint: pass --tolerant to stop at the last good "
-                          "frame instead", file=sys.stderr)
-                    return 1
-                except OSError as error:
-                    print(f"cannot read capture: {error}", file=sys.stderr)
-                    return 1
-                except ValueError as error:
-                    print(f"capture is not time-sorted: {error}",
-                          file=sys.stderr)
-                    print("hint: pass --reorder-horizon SECONDS to re-sort "
-                          "bounded disorder in-stream", file=sys.stderr)
-                    return 1
+                except (OSError, ValueError) as error:
+                    # Decided here, off the per-record path: the record
+                    # that failed is the one just read.
+                    if (isinstance(error, ValueError)
+                            and not math.isfinite(observation.time)):
+                        error = NonFiniteTimestampError(
+                            reader.records_read - 1, observation.time)
+                    return _capture_failure(error)
                 if not interrupted:
                     engine.flush()
                     bridge.step(force=True)
                     print(f"replayed {engine.observed:,} observations to "
                           f"t={detector.last_time:,.1f}s; serving",
                           file=sys.stderr)
-                    linger = args.linger_s
-                    deadline = (time.monotonic() + linger
-                                if linger >= 0 else None)
-                    while not stop_requested():
-                        if deadline is not None \
-                                and time.monotonic() >= deadline:
-                            break
-                        time.sleep(0.05)
+                print(_records_line(reader.records_read, engine, skipped,
+                                    interrupted=interrupted))
+                # An interrupted replay falls straight through: the
+                # stop flag stays set.
+                linger = args.linger_s
+                deadline = (time.monotonic() + linger
+                            if linger >= 0 else None)
+                while not stop_requested():
+                    if deadline is not None \
+                            and time.monotonic() >= deadline:
+                        break
+                    time.sleep(0.05)
         finally:
             # Drain: stop accepting, flush subscriber outboxes, close
             # with 1001 going-away — the SIGTERM rolling-restart path.
@@ -894,8 +904,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             # Same contract as `detect`: a run too degraded to trust
             # exits with the distinct budget code, and the telemetry
             # files still land (the _telemetry finally block flushes).
-            print(f"error budget exceeded: {error}", file=sys.stderr)
-            return EXIT_BUDGET_TRIPPED
+            return _budget_tripped(error, args)
         finally:
             set_default_parallelism(*previous)
         print(result)
@@ -1111,6 +1120,64 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Every telemetry flag; a subcommand takes those it can export.
+_TELEMETRY_ARGS: Dict[str, Dict[str, object]] = {
+    "--metrics-out": dict(
+        default="", help="write the run's metrics snapshot (JSON) here"),
+    "--trace-out": dict(
+        default="", help="write a Chrome-trace JSON of the run's stage "
+                         "spans here"),
+    "--metrics-interval": dict(
+        type=float, default=0.0,
+        help="print a telemetry one-liner to stderr every this many "
+             "stream-seconds (0 disables)"),
+    "--explain-out": dict(
+        default="", help="write the decision-provenance explain log "
+                         "(JSONL) here"),
+    "--obs-port": dict(
+        type=int, default=None,
+        help="serve /metrics, /metrics.json, /health, /trace, /events on "
+             "this port while the run is live (0 = ephemeral)"),
+}
+
+
+def _add_telemetry_args(parser: argparse.ArgumentParser,
+                        *flags: str) -> None:
+    for flag in flags or ("--metrics-out", "--trace-out", "--explain-out",
+                          "--obs-port"):
+        parser.add_argument(flag, **_TELEMETRY_ARGS[flag])
+
+
+def _add_stream_args(parser: argparse.ArgumentParser) -> None:
+    """What :func:`_stream_model` reads; ``--help`` lists the
+    subcommand's own options next, then :func:`_add_ingest_args`."""
+    parser.add_argument("capture", help="capture file to replay as a stream")
+    parser.add_argument("--model", required=True,
+                        help="saved model from 'train'")
+    parser.add_argument("--family", type=int, choices=(4, 6), default=4)
+
+
+def _add_ingest_args(parser: argparse.ArgumentParser) -> None:
+    """How a stream replay takes a disordered or damaged capture."""
+    parser.add_argument("--reorder-horizon", type=float, default=0.0,
+                        help="re-sort out-of-order arrivals within this "
+                             "many seconds")
+    parser.add_argument("--tolerant", action="store_true",
+                        help="stop cleanly at the last good frame of a "
+                             "corrupt capture")
+
+
+def _add_outcome_args(parser: argparse.ArgumentParser) -> None:
+    """What a detection run reports, and when it fails as too degraded."""
+    parser.add_argument("--min-duration", type=float, default=300.0,
+                        help="only print outages at least this long")
+    parser.add_argument("--health-report", default="",
+                        help="write the run health report (JSON) here")
+    parser.add_argument("--max-quarantine-frac", type=float, default=0.5,
+                        help="fail (exit 3) when more than this fraction "
+                             "of blocks is quarantined (1.0 disables)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-outage",
@@ -1149,13 +1216,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="training/detection boundary (default: middle)")
     detect.add_argument("--model", default="",
                         help="saved model from 'train' (skips retraining)")
-    detect.add_argument("--min-duration", type=float, default=300.0,
-                        help="only print outages at least this long")
-    detect.add_argument("--health-report", default="",
-                        help="write the run health report (JSON) here")
-    detect.add_argument("--max-quarantine-frac", type=float, default=0.5,
-                        help="fail (exit 3) when more than this fraction "
-                             "of blocks is quarantined (1.0 disables)")
+    _add_outcome_args(detect)
     detect.add_argument("--workers", type=int, default=None,
                         help="shard blocks across N worker processes "
                              "(output is bit-identical to --workers 1; "
@@ -1163,6 +1224,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--shard-chunk", type=int, default=None,
                         help="blocks per shard for --workers (default: "
                              "population/16, independent of N)")
+    # --shard-* and --partition-* are read back by _supervision().
     detect.add_argument("--shard-timeout", type=float, default=None,
                         help="supervise shards: wall-clock seconds one "
                              "shard attempt may run before being killed "
@@ -1176,27 +1238,13 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--strict-coverage", action="store_true",
                         help="exit 4 when a supervised run completes "
                              "degraded (blocks lost to dying workers)")
-    detect.add_argument("--metrics-out", default="",
-                        help="write the run's metrics snapshot (JSON) here")
-    detect.add_argument("--trace-out", default="",
-                        help="write a Chrome-trace JSON of the run's "
-                             "stage spans here")
-    detect.add_argument("--explain-out", default="",
-                        help="write the decision-provenance explain log "
-                             "(JSONL) here")
-    detect.add_argument("--obs-port", type=int, default=None,
-                        help="serve /metrics, /metrics.json, /health, "
-                             "/trace, /events on this port while the run "
-                             "is live (0 = ephemeral)")
+    _add_telemetry_args(detect)
     detect.set_defaults(func=_cmd_detect)
 
     live = sub.add_parser("live",
                           help="replay a capture through the resilient "
                                "live-monitor path")
-    live.add_argument("capture", help="capture file to replay as a stream")
-    live.add_argument("--model", required=True,
-                      help="saved model from 'train'")
-    live.add_argument("--family", type=int, choices=(4, 6), default=4)
+    _add_stream_args(live)
     live.add_argument("--checkpoint", default="",
                       help="checkpoint path (a directory in partitioned "
                            "mode); resumes from it when present")
@@ -1242,43 +1290,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="quarantine feed-level quiet periods "
                            "(observer failure) instead of reporting "
                            "mass outages")
-    live.add_argument("--reorder-horizon", type=float, default=0.0,
-                      help="re-sort out-of-order arrivals within this "
-                           "many seconds")
-    live.add_argument("--tolerant", action="store_true",
-                      help="stop cleanly at the last good frame of a "
-                           "corrupt capture")
-    live.add_argument("--min-duration", type=float, default=300.0,
-                      help="only print outages at least this long")
-    live.add_argument("--health-report", default="",
-                      help="write the run health report (JSON) here")
-    live.add_argument("--max-quarantine-frac", type=float, default=0.5,
-                      help="fail (exit 3) when more than this fraction "
-                           "of blocks is quarantined (1.0 disables)")
-    live.add_argument("--metrics-out", default="",
-                      help="write the run's metrics snapshot (JSON) here")
-    live.add_argument("--trace-out", default="",
-                      help="write a Chrome-trace JSON of the run's "
-                           "stage spans here")
-    live.add_argument("--metrics-interval", type=float, default=0.0,
-                      help="print a telemetry one-liner to stderr every "
-                           "this many stream-seconds (0 disables)")
-    live.add_argument("--explain-out", default="",
-                      help="write the decision-provenance explain log "
-                           "(JSONL) here")
-    live.add_argument("--obs-port", type=int, default=None,
-                      help="serve /metrics, /metrics.json, /health, "
-                           "/trace, /events on this port while the run "
-                           "is live (0 = ephemeral)")
+    _add_ingest_args(live)
+    _add_outcome_args(live)
+    _add_telemetry_args(live, "--metrics-out", "--trace-out",
+                        "--metrics-interval", "--explain-out", "--obs-port")
     live.set_defaults(func=_cmd_live)
 
     serve = sub.add_parser("serve",
                            help="replay a capture behind the query/"
                                 "subscribe serving plane")
-    serve.add_argument("capture", help="capture file to replay as a stream")
-    serve.add_argument("--model", required=True,
-                       help="saved model from 'train'")
-    serve.add_argument("--family", type=int, choices=(4, 6), default=4)
+    _add_stream_args(serve)
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address for the serving plane")
     serve.add_argument("--port", type=int, default=0,
@@ -1307,14 +1328,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--linger-s", type=float, default=-1.0,
                        help="keep serving this long after the capture is "
                             "exhausted (-1 = until SIGTERM/SIGINT)")
-    serve.add_argument("--reorder-horizon", type=float, default=0.0,
-                       help="re-sort out-of-order arrivals within this "
-                            "many seconds")
-    serve.add_argument("--tolerant", action="store_true",
-                       help="stop cleanly at the last good frame of a "
-                            "corrupt capture")
-    serve.add_argument("--metrics-out", default="",
-                       help="write the run's metrics snapshot (JSON) here")
+    _add_ingest_args(serve)
+    _add_telemetry_args(serve, "--metrics-out")
     serve.set_defaults(func=_cmd_serve)
 
     experiment = sub.add_parser("experiment",
@@ -1327,19 +1342,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "experiment builds internally")
     experiment.add_argument("--shard-chunk", type=int, default=None,
                             help="blocks per shard for --workers")
-    experiment.add_argument("--metrics-out", default="",
-                            help="write the run's metrics snapshot "
-                                 "(JSON) here")
-    experiment.add_argument("--trace-out", default="",
-                            help="write a Chrome-trace JSON of the run's "
-                                 "stage spans here")
-    experiment.add_argument("--explain-out", default="",
-                            help="write the decision-provenance explain "
-                                 "log (JSONL) here")
-    experiment.add_argument("--obs-port", type=int, default=None,
-                            help="serve /metrics, /metrics.json, /health, "
-                                 "/trace, /events on this port while the "
-                                 "run is live (0 = ephemeral)")
+    _add_telemetry_args(experiment)
     experiment.set_defaults(func=_cmd_experiment)
 
     inspect = sub.add_parser("inspect",

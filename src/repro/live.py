@@ -134,7 +134,11 @@ from .parallel import (
     _process_rss_mb,
     plan_shards,
 )
-from .telescope.capture import CaptureReader, RecordChunk
+from .telescope.capture import (
+    CaptureReader,
+    NonFiniteTimestampError,
+    RecordChunk,
+)
 from .telescope.records import Observation, TaggedObservation
 from .telescope.reorder import LatePolicy, ReorderBuffer
 
@@ -1521,7 +1525,10 @@ class LivePartitionSupervisor:
         For a fused model ``capture`` is a mapping ``{source name:
         capture path}`` with one entry per vantage; the per-vantage
         streams are merged by timestamp, exactly the stream a fused
-        single-process engine would see on one tagged tap.
+        single-process engine would see on one tagged tap.  A record
+        past ``start`` with a NaN or infinite time raises
+        :class:`~repro.telescope.capture.NonFiniteTimestampError`,
+        naming its capture record, instead of reaching a worker.
         """
         if self.fused:
             if not isinstance(capture, Mapping):
@@ -1560,6 +1567,17 @@ class LivePartitionSupervisor:
                     if self._stop():
                         interrupted = True
                         break
+                    when = observation.time
+                    if not math.isfinite(when) and not when < self.start:
+                        # Rejected here, where the record's place in its
+                        # file is known; routed on, it would fail inside
+                        # a worker as a harness error.
+                        if vidx is None:
+                            raise NonFiniteTimestampError(
+                                reader.records_read - 1, when)
+                        name = self._fused_names[vidx]
+                        raise NonFiniteTimestampError(
+                            readers[name].records_read - 1, when, name)
                     if vidx is None:
                         self._route(observation)
                     else:

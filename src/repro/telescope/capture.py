@@ -43,7 +43,8 @@ import numpy as np
 from ..net.addr import Family
 from .records import Observation, ObservationBatch
 
-__all__ = ["CaptureError", "CaptureCorruptionError", "CaptureWriter",
+__all__ = ["CaptureError", "CaptureCorruptionError",
+           "NonFiniteTimestampError", "CaptureWriter",
            "CaptureReader", "RecordChunk", "write_batches", "read_batches",
            "record_byte_offset", "CHUNK_RECORDS", "MAGIC", "VERSION"]
 
@@ -177,6 +178,17 @@ class CaptureCorruptionError(CaptureError):
             f"{records_read} good records)")
         self.byte_offset = byte_offset
         self.records_read = records_read
+
+
+class NonFiniteTimestampError(ValueError):
+    """A record whose time is NaN or infinite, named by its index and
+    byte offset in the capture (of vantage ``source``, if merged)."""
+
+    def __init__(self, record: int, time: float, source: str = "") -> None:
+        super().__init__(
+            f"{source + ' ' if source else ''}capture record {record} "
+            f"(byte offset {record_byte_offset(record)}) has a non-finite "
+            f"timestamp t={time!r}")
 
 
 PathOrFile = Union[str, Path, BinaryIO]

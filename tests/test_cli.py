@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from repro.cli import (EXIT_BUDGET_TRIPPED, EXIT_DEGRADED_COVERAGE,
                        build_parser, main)
 from repro.telescope.capture import read_batches
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestParser:
@@ -18,6 +21,28 @@ class TestParser:
     def test_experiment_names_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "table99"])
+
+
+def parser_surface():
+    """Every subcommand's options in declaration order: option strings,
+    dest, default, type, choices, required, and action class."""
+    import argparse
+
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {name: [[sorted(action.option_strings), action.dest,
+                    repr(action.default),
+                    getattr(action.type, "__name__", repr(action.type)),
+                    sorted(action.choices) if action.choices else None,
+                    action.required, type(action).__name__]
+                   for action in parser._actions]
+            for name, parser in commands.choices.items()}
+
+
+class TestParserSurface:
+    def test_every_subcommand_option_is_pinned(self):
+        golden = json.loads((DATA / "cli_parser_surface.json").read_text())
+        assert parser_surface() == golden
 
 
 class TestSimulateDetect:
@@ -200,12 +225,12 @@ class TestLiveMonitor:
         assert 0 < read < total
         assert terms["still buffered"] > 0
 
-    @pytest.mark.parametrize("horizon", ["0", "2.0"])
-    def test_live_reports_non_finite_timestamp_by_capture_record(
-            self, tmp_path, capsys, horizon):
+    @staticmethod
+    def _nan_capture(tmp_path, capture):
+        """``capture`` with one detection-window record's time set to
+        NaN; returns the copy and that record's index."""
         from repro.telescope.capture import write_batches
 
-        capture, model = self._prepare(tmp_path)
         ipv4, _ = read_batches(str(capture))
         times = ipv4.times.copy()
         record = int(np.flatnonzero(times >= 86400.0)[0]) + 5000
@@ -213,9 +238,25 @@ class TestLiveMonitor:
         poisoned = tmp_path / "nan.pobs"
         write_batches(str(poisoned), type(ipv4)(ipv4.family, times,
                                                 ipv4.block_keys, ipv4.qtypes))
+        return poisoned, record
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["live", "--reorder-horizon", "0"], id="0"),
+        pytest.param(["live", "--reorder-horizon", "2.0"], id="2.0"),
+        pytest.param(["serve", "--reorder-horizon", "2.0", "--port", "0",
+                      "--linger-s", "0"], id="serve"),
+        pytest.param(["live", "--partitions", "2", "--checkpoint", "DIR"],
+                     id="partitioned"),
+    ])
+    def test_live_reports_non_finite_timestamp_by_capture_record(
+            self, tmp_path, capsys, argv):
+        capture, model = self._prepare(tmp_path)
+        poisoned, record = self._nan_capture(tmp_path, capture)
+        command, *flags = [str(tmp_path / "ckpt") if arg == "DIR" else arg
+                           for arg in argv]
         capsys.readouterr()
-        assert main(["live", str(poisoned), "--model", str(model),
-                     "--reorder-horizon", horizon]) == 1
+        assert main([command, str(poisoned), "--model", str(model)]
+                    + flags) == 1
         err = capsys.readouterr().err
         assert (f"capture record {record} (byte offset {8 + 27 * record}) "
                 f"has a non-finite timestamp") in err
@@ -449,6 +490,30 @@ class TestHealthAndBudget:
         document = json.loads(report_path.read_text())
         assert document["budget_tripped"] is True
         assert len(document["dead_letters"]) == 4
+
+    def test_train_window_ignores_non_finite_timestamps(self, tmp_path,
+                                                        capsys):
+        # Without --train-end the window ends at the capture's last
+        # *finite* time; a NaN record sorts last and must not become it.
+        poisoned, _ = TestLiveMonitor._nan_capture(
+            tmp_path, TestLiveMonitor()._prepare(tmp_path)[0])
+        model = tmp_path / "nan-model.json"
+        capsys.readouterr()
+        assert main(["train", str(poisoned), "--out", str(model)]) == 0
+        assert "trained 39 blocks" in capsys.readouterr().out
+        from repro.core.serialize import load_model
+
+        # The one block holding the NaN is dead-lettered, not trained.
+        assert 0x33383e not in load_model(str(model)).parameters
+
+    def test_train_budget_trip_exits_3_and_reports(self, tmp_path, capsys):
+        capture = self._poisoned_capture(tmp_path, 11)  # 55% poisoned
+        capsys.readouterr()
+        code = main(["train", str(capture), "--out",
+                     str(tmp_path / "model.json")])
+        assert code == EXIT_BUDGET_TRIPPED
+        err = capsys.readouterr().err
+        assert "error budget exceeded: train: quarantined 11/20" in err
 
     def test_clean_run_reports_zero_quarantine(self, tmp_path, capsys):
         capture = tmp_path / "clean.pobs"
@@ -728,3 +793,87 @@ class TestFusedInspect:
                 "  dns: weight 1.0000, 4000 observations, "
                 "333 healthy / 0 quiet bins, 0 gated, "
                 "2 measurable blocks\n") in out
+
+
+class TestGoldenTranscript:
+    """stdout and exit codes of the documented seed-7 drive."""
+
+    @pytest.fixture(scope="class")
+    def drive(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden")
+        capture, model = root / "cap.pobs", root / "model.json"
+        assert main(["simulate", "--blocks", "40", "--days", "2",
+                     "--seed", "7", "--out", str(capture)]) == 0
+        assert main(["train", str(capture), "--train-end", "86400",
+                     "--out", str(model)]) == 0
+        return root, capture, model
+
+    def run(self, capsys, drive, argv):
+        root = drive[0]
+        capsys.readouterr()
+        code = main(argv)
+        return code, capsys.readouterr().out.replace(str(root), "<dir>")
+
+    def test_train(self, capsys, drive):
+        _, capture, model = drive
+        assert self.run(capsys, drive, [
+            "train", str(capture), "--train-end", "86400",
+            "--out", str(model)]) == (
+            0, "trained 40 blocks (85.0% measurable) -> <dir>/model.json\n")
+
+    def test_detect(self, capsys, drive):
+        _, capture, _ = drive
+        assert self.run(capsys, drive, [
+            "detect", str(capture), "--train-end", "86400"]) == (0, (
+                "trained 40 blocks (34 measurable, coverage 85.0%)\n"
+                + DETECT_EVENTS))
+
+    def test_detect_saved_model(self, capsys, drive):
+        _, capture, model = drive
+        assert self.run(capsys, drive, [
+            "detect", str(capture), "--model", str(model)]) == (0, (
+                "trained 40 blocks (34 measurable, coverage 85.0%)\n"
+                + DETECT_EVENTS))
+
+    def test_live_sentinel_reorder(self, capsys, drive):
+        _, capture, model = drive
+        assert self.run(capsys, drive, [
+            "live", str(capture), "--model", str(model), "--sentinel",
+            "--reorder-horizon", "2.0"]) == (0, (
+                "replayed 301,562 observations to t=172,800.0s\n"
+                + RECORDS.format(resume="0 resume skipped + ")
+                + "reorder buffer: 0 out-of-order arrivals re-sorted, "
+                "0 beyond-horizon dropped (peak occupancy 24)\n"
+                "sentinel: 0 quarantined feed windows (0s)\n"
+                + LIVE_EVENTS))
+
+    def test_live_partitioned(self, capsys, drive):
+        root, capture, model = drive
+        assert self.run(capsys, drive, [
+            "live", str(capture), "--model", str(model),
+            "--partitions", "2", "--checkpoint", str(root / "parts")]) == (
+            0, ("partitions: 2 over 40 blocks (plan e63003757e33), "
+                "0 restarts, 0 rows replayed\n"
+                "manifest: <dir>/parts/live-manifest.json\n"
+                "replayed 301,562 observations to t=172,800.0s\n"
+                + LIVE_EVENTS))
+
+    def test_serve(self, capsys, drive):
+        _, capture, model = drive
+        assert self.run(capsys, drive, [
+            "serve", str(capture), "--model", str(model), "--port", "0",
+            "--linger-s", "0"]) == (0, RECORDS.format(resume=""))
+
+
+DETECT_EVENTS = (
+    "  block 0x33380a: outage 171,354.1s -> 172,801.0s (1,447s)\n"
+    "  block 0x33388a: outage 172,200.0s -> 172,801.0s (601s)\n"
+    "  block 0x81f5f4: outage 171,000.0s -> 172,801.0s (1,801s)\n"
+    "  block 0xadfa26: outage 147,018.4s -> 150,797.3s (3,779s)\n"
+    "  block 0xd3b699: outage 172,461.7s -> 172,801.0s (339s)\n"
+    "5 outage events >= 300s\n")
+LIVE_EVENTS = (
+    "  block 0xadfa26: outage 147,018.4s -> 150,797.3s (3,779s)\n"
+    "1 outage events >= 300s\n")
+RECORDS = ("records: 604,956 read = 303,394 training-window skipped + "
+           "{resume}301,562 observed + 0 late-dropped\n")

@@ -300,6 +300,29 @@ class TestLiveBlinding:
         assert (single_health.sentinel_windows
                 == result.health.sentinel_windows)
 
+    def test_partitioned_rejects_non_finite_record_before_routing(
+            self, chaos_setup, tmp_path):
+        """A NaN in one vantage's capture is named by that capture's
+        record index in the parent, not raised by whichever worker it
+        would have been routed to."""
+        from repro.telescope.capture import (NonFiniteTimestampError,
+                                             read_batches, write_batches)
+
+        captures = dict(chaos_setup["captures_healthy"])
+        ipv4, _ = read_batches(captures["darknet"])
+        times = ipv4.times.copy()
+        record = int(np.searchsorted(times, chaos_setup["blind_at"]))
+        times[record] = float("nan")
+        captures["darknet"] = str(tmp_path / "darknet-nan.pobs")
+        write_batches(captures["darknet"], type(ipv4)(
+            ipv4.family, times, ipv4.block_keys, ipv4.qtypes))
+        with pytest.raises(NonFiniteTimestampError) as raised:
+            run_partitioned_live(chaos_setup["model"], captures,
+                                 partitions=2, reorder_horizon=30.0)
+        assert str(raised.value) == (
+            f"darknet capture record {record} (byte offset "
+            f"{8 + 27 * record}) has a non-finite timestamp t=nan")
+
     def test_partitioned_matches_single_process_blinded(self, chaos_setup):
         model = chaos_setup["model"]
         truth = chaos_setup["truth"]
