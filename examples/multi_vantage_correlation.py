@@ -5,7 +5,8 @@ The poster: "when possible, we correlate multiple signals from the same
 region to corroborate results".  Two mechanisms are demonstrated:
 
 1. two passive services (think B-root plus a large website) each see a
-   random share of every block's queries; their verdicts are fused;
+   random share of every block's queries; their per-bin evidence is
+   fused inside one belief filter (:mod:`repro.fusion`);
 2. detected events are cross-checked against sibling blocks in the same
    /20 — a regional outage has witnesses, a lone flapping resolver does
    not.
@@ -17,8 +18,9 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core import PassiveOutagePipeline, corroborate_events, fuse_timelines
+from repro.core import PassiveOutagePipeline, corroborate_events
 from repro.eval import confusion_for_population
+from repro.fusion import MappingSource, detect_fused, train_fused
 from repro.net import Family
 from repro.traffic import (
     FamilyConfig,
@@ -80,10 +82,13 @@ def main() -> None:
     timelines_b = detect(vantage_b)
     full_view = detect(per_block)
 
-    common = sorted(set(timelines_a) & set(timelines_b))
-    fused = {key: fuse_timelines([timelines_a[key], timelines_b[key]],
-                                 quorum=1)
-             for key in common}
+    sources = [MappingSource("A", vantage_a, family=Family.IPV4),
+               MappingSource("B", vantage_b, family=Family.IPV4)]
+    model = train_fused(sources, Family.IPV4, 0.0, DAY)
+    detection = detect_fused(
+        model, {source.name: source.per_block(Family.IPV4, DAY, 2 * DAY)
+                for source in sources}, DAY, 2 * DAY)
+    fused = {key: block.timeline for key, block in detection.blocks.items()}
 
     print("Each vantage alone vs fused, scored against truth:")
     for label, timelines in (("vantage A (half the traffic)", timelines_a),

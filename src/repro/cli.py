@@ -18,7 +18,7 @@ import signal
 import sys
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .obs.metrics import (
     render_snapshot,
     set_registry,
 )
-from .obs.server import ObservabilityServer
 from .obs.tracing import NULL_TRACER, SpanTracer, get_tracer, set_tracer
 from .experiments import (
     run_baseline_comparison,
@@ -90,15 +89,13 @@ EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
-class _RunTelemetry:
-    """One command's telemetry plane: registry, tracer, explain, server."""
+class _RunTelemetry(NamedTuple):
+    """One command's telemetry, and its ``--obs-port`` plane if any."""
 
-    def __init__(self, registry: object, tracer: object, explain: object,
-                 server: Optional[ObservabilityServer]) -> None:
-        self.registry = registry
-        self.tracer = tracer
-        self.explain = explain
-        self.server = server
+    registry: object
+    tracer: object
+    explain: object
+    plane: Optional["ServingPlane"]
 
 
 @contextmanager
@@ -108,8 +105,8 @@ def _telemetry(args: argparse.Namespace,
 
     A real registry/tracer/explain log is created only when the
     corresponding ``--metrics-out``/``--trace-out``/``--explain-out``
-    flag was given, when ``--obs-port`` asks for the live HTTP endpoint
-    (which serves all three, so all three must exist), or under
+    flag was given, when ``--obs-port`` asks for a serving plane (which
+    serves all three, so all three must exist), or under
     ``force_metrics`` — the live monitor always meters so checkpoints
     carry cumulative telemetry.  All are installed as the process
     defaults so internally-constructed pipelines pick them up, and the
@@ -131,16 +128,19 @@ def _telemetry(args: argparse.Namespace,
     previous_registry = set_registry(registry)
     previous_tracer = set_tracer(tracer)
     previous_explain = set_explain(explain)
-    server: Optional[ObservabilityServer] = None
+    plane = None
     if serve:
-        server = ObservabilityServer(port=obs_port, registry=registry,
-                                     tracer=tracer, explain=explain).start()
-        print(f"observability endpoint: {server.url}", file=sys.stderr)
+        from .serve import ServeConfig, ServingPlane
+
+        plane = ServingPlane(config=ServeConfig(port=obs_port),
+                             registry=registry, tracer=tracer,
+                             explain=explain).start()
+        print(f"observability endpoint: {plane.url}", file=sys.stderr)
     try:
-        yield _RunTelemetry(registry, tracer, explain, server)
+        yield _RunTelemetry(registry, tracer, explain, plane)
     finally:
-        if server is not None:
-            server.stop()
+        if plane is not None:
+            plane.stop()
         set_registry(previous_registry)
         set_tracer(previous_tracer)
         set_explain(previous_explain)
@@ -705,7 +705,6 @@ def _run_live_partitioned(args: argparse.Namespace, model: "TrainedModel",
     registry = telemetry.registry
     from .live import LivePartitionSupervisor
     from .parallel import ShardWorkerError
-    from .telescope.capture import NonFiniteTimestampError
 
     if not args.checkpoint:
         print("partitioned live requires --checkpoint DIR: per-partition "
@@ -731,13 +730,13 @@ def _run_live_partitioned(args: argparse.Namespace, model: "TrainedModel",
             explain=telemetry.explain,
             stop_requested=stop_requested,
             status=lambda line: print(line, file=sys.stderr))
-        if telemetry.server is not None:
+        if telemetry.plane is not None:
             # /health now reports this run: per-partition status and
             # watermark lag instead of bare process liveness.
-            telemetry.server.health_provider = supervisor.health_document
+            telemetry.plane.health_provider = supervisor.health_document
         try:
             result = supervisor.run(args.capture, tolerant=args.tolerant)
-        except (OSError, NonFiniteTimestampError) as error:
+        except (OSError, ValueError) as error:
             return _capture_failure(error)
         except ShardWorkerError as error:
             # A worker's exception is a harness bug, not a block fault

@@ -17,7 +17,6 @@ from .checkpoint import (
 from .correlation import (
     CorroboratedEvent,
     corroborate_events,
-    fuse_timelines,
 )
 from .detector import BlockResult, PassiveDetector, StreamingDetector
 from .drift import BlockDrift, DriftVerdict, audit_drift, refresh_model
@@ -71,7 +70,6 @@ __all__ = [
     "inputs_digest",
     "CorroboratedEvent",
     "corroborate_events",
-    "fuse_timelines",
     "BlockResult",
     "PassiveDetector",
     "StreamingDetector",

@@ -48,9 +48,8 @@ __all__ = ["CHECKPOINT_FORMAT_VERSION", "CheckpointFormatError",
            "load_checkpoint_rotated",
            "SHARD_CHECKPOINT_FORMAT_VERSION",
            "write_shard_manifest", "read_shard_manifest",
-           "save_shard_result", "load_shard_result",
-           "load_shard_document", "discard_shard_result",
-           "prune_stale_shards"]
+           "save_shard_result", "load_shard_document",
+           "discard_shard_result", "prune_stale_shards"]
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -517,17 +516,6 @@ def prune_stale_shards(directory: PathLike, digest: str) -> int:
             except OSError:
                 pass
     return removed
-
-
-def load_shard_result(directory: PathLike,
-                      index: Union[int, str]) -> Optional[Dict[str, Any]]:
-    """One shard's cached result document, or None when absent/corrupt.
-
-    Legacy accessor that flattens the missing/corrupt distinction; new
-    callers should prefer :func:`load_shard_document` so corruption can
-    be counted and cleaned up.
-    """
-    return load_shard_document(directory, index)[1]
 
 
 def load_checkpoint(path: PathLike, model: TrainedModel,

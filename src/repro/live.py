@@ -1528,7 +1528,9 @@ class LivePartitionSupervisor:
         single-process engine would see on one tagged tap.  A record
         past ``start`` with a NaN or infinite time raises
         :class:`~repro.telescope.capture.NonFiniteTimestampError`,
-        naming its capture record, instead of reaching a worker.
+        naming its capture record, instead of reaching a worker; so,
+        with no reorder horizon, does one behind the stream front
+        (:class:`ValueError`, as the single-process detector raises).
         """
         if self.fused:
             if not isinstance(capture, Mapping):
@@ -1578,6 +1580,13 @@ class LivePartitionSupervisor:
                         name = self._fused_names[vidx]
                         raise NonFiniteTimestampError(
                             readers[name].records_read - 1, when, name)
+                    if (when < self._front - 1e-9 and when >= self.start
+                            and not self.reorder_horizon):
+                        # Without a reorder buffer a worker would raise
+                        # this as a harness error; say it here, as the
+                        # single-process detector does.
+                        raise ValueError(f"stream went backwards: {when} "
+                                         f"after {self._front}")
                     if vidx is None:
                         self._route(observation)
                     else:

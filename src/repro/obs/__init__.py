@@ -1,4 +1,4 @@
-"""Observability: metrics, spans, provenance, and the serving plane.
+"""Observability: metrics, spans, and decision provenance.
 
 This package sits at the very bottom of the dependency graph — pure
 standard library, importable from the ingest layers (telescope, dns)
@@ -6,8 +6,8 @@ and the analysis core alike without creating cycles.  See
 :mod:`repro.obs.metrics` for counters/gauges/histograms,
 :mod:`repro.obs.tracing` for wall-time span trees with cross-process
 trace propagation, :mod:`repro.obs.explain` for the decision-provenance
-event log, and :mod:`repro.obs.server` for the opt-in HTTP endpoint
-that serves all three live.
+event log.  :class:`repro.serve.ServingPlane` serves all three live
+(``--obs-port``).
 """
 
 from .explain import (
@@ -38,7 +38,6 @@ from .metrics import (
     resolve_registry,
     set_registry,
 )
-from .server import ObservabilityServer
 from .tracing import (
     NULL_TRACER,
     NullTracer,
@@ -81,5 +80,4 @@ __all__ = [
     "resolve_explain",
     "format_explain",
     "read_explain_jsonl",
-    "ObservabilityServer",
 ]

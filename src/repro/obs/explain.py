@@ -23,11 +23,11 @@ Event kinds (the ``event`` field):
 * ``retraction`` — a decision that was withdrawn: the block was
   quarantined and its timeline suppressed.
 
-Events are surfaced three ways: the ``/events`` endpoint
-(:mod:`repro.obs.server`), ``repro-outage inspect --explain <block>``
-over a JSONL export, and heartbeat piggybacking from partition workers
-(:meth:`ExplainLog.events_since` gives the incremental slice, the
-monotone ``seq`` makes re-delivery idempotent).
+Events are surfaced three ways: the serving plane's ``/events``
+endpoint (:mod:`repro.serve.plane`), ``repro-outage inspect --explain
+<block>`` over a JSONL export, and heartbeat piggybacking from partition
+workers (:meth:`ExplainLog.events_since` gives the incremental slice,
+the monotone ``seq`` makes re-delivery idempotent).
 
 Like the registry and tracer, the explain log is opt-out:
 :data:`NULL_EXPLAIN` answers the whole API as a no-op with

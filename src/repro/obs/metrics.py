@@ -64,9 +64,13 @@ __all__ = [
     "GAUGE_MERGE_POLICIES",
     "diff_snapshots",
     "negate_snapshot",
+    "PROMETHEUS_CONTENT_TYPE",
 ]
 
 SNAPSHOT_FORMAT = "repro-metrics-v1"
+
+#: Content type the Prometheus scraper expects for :meth:`to_prometheus`.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: How a gauge series folds when another process's snapshot merges in.
 #:

@@ -11,7 +11,9 @@ WebSocket service — stdlib only, like everything else in the repo:
 * **subscribe** to finalized onset/recovery/retraction events over a
   WebSocket with sequence-numbered, at-least-once delivery;
 * **observe** the run itself: ``/health``, a ``/ready`` admission gate,
-  and the :mod:`repro.obs` registry's Prometheus/JSON expositions.
+  the :mod:`repro.obs` registry's Prometheus/JSON expositions, the
+  trace and the explain log — the same endpoints ``--obs-port`` serves
+  for ``detect``/``live``/``experiment``.
 
 Robustness is the contract, not a feature flag: every response is
 stamped ``{watermark, staleness_s, degraded}``, slow consumers are

@@ -21,7 +21,15 @@ Endpoints (GET):
   resync, sequence-numbered events, client acks;
 * ``/ready`` — the admission gate (503 when stale or coverage-lost);
 * ``/health`` — liveness document (never shed, never 503);
-* ``/metrics``, ``/metrics.json`` — the run registry's expositions.
+* ``/metrics``, ``/metrics.json`` — the run registry's expositions;
+* ``/trace`` — the run tracer's Chrome trace-event document;
+* ``/events`` — the run's decision-provenance explain log.
+
+The diagnostics (``/health``, ``/metrics*``, ``/trace``, ``/events``)
+render the live registry/tracer/explain objects at request time and
+are never shed.  ``--obs-port`` on ``detect``/``live``/``experiment``
+runs a plane that is never published to: those endpoints are all it
+serves.
 
 Robustness contract highlights: every ``/v1`` response is stamped
 ``{watermark, staleness_s, degraded, ...}``; per-endpoint token
@@ -57,8 +65,9 @@ from urllib.parse import parse_qs
 
 from ..net.addr import Address, AddressError, Family
 from ..net.blocks import Block
-from ..obs.metrics import resolve_registry
-from ..obs.server import PROMETHEUS_CONTENT_TYPE
+from ..obs.explain import EXPLAIN_FORMAT, resolve_explain
+from ..obs.metrics import PROMETHEUS_CONTENT_TYPE, resolve_registry
+from ..obs.tracing import resolve_tracer
 from . import ws
 from .admission import Admission, AdmissionConfig, ReadyGate
 from .events import EventBroker, EventSpec
@@ -115,19 +124,26 @@ class ServingPlane:
     Thread model: :meth:`start` spawns the loop thread; :meth:`publish`
     and :meth:`stop` are safe from any thread; everything else runs on
     the loop.  Before :meth:`start` (unit tests), :meth:`publish`
-    applies synchronously in the caller's thread.
+    applies synchronously in the caller's thread.  ``family`` is needed
+    only to publish; ``registry``, ``tracer`` and ``explain`` default
+    to the process-wide objects, the null ones unless a run installed
+    its own.
     """
 
     def __init__(
         self,
-        family: Family,
+        family: Optional[Family] = None,
         config: Optional[ServeConfig] = None,
         registry: Any = None,
         health_provider: Optional[Callable[[], Dict[str, Any]]] = None,
+        tracer: Any = None,
+        explain: Any = None,
     ) -> None:
         self.family = family
         self.config = config or ServeConfig()
         self.registry = resolve_registry(registry)
+        self.tracer = resolve_tracer(tracer)
+        self.explain = resolve_explain(explain)
         self.health_provider = health_provider
         self.admission = Admission(self.config.admission)
         self._broker = EventBroker(self.config.event_capacity)
@@ -215,7 +231,9 @@ class ServingPlane:
 
         Draining closes the listener first (no new work), flushes every
         subscriber's outbox, and sends a 1001 going-away close frame —
-        the SIGTERM path an operator's rolling restart relies on.
+        the SIGTERM path an operator's rolling restart relies on.  A
+        loop wedged in a request (a ``/health`` provider that never
+        returns) holds this call for ``drain_s + 5`` seconds at most.
         """
         thread = self._thread
         if thread is None:
@@ -225,7 +243,7 @@ class ServingPlane:
         if loop is not None:
             with contextlib.suppress(RuntimeError):
                 loop.call_soon_threadsafe(self._signal_stop)
-        thread.join(self.config.drain_s + 10.0)
+        thread.join(self.config.drain_s + 5.0)
         self._thread = None
 
     def _signal_stop(self) -> None:
@@ -294,6 +312,9 @@ class ServingPlane:
         thread, so pass the seq to :meth:`wait_published` before
         relying on :attr:`snapshot`.
         """
+        if self.family is None:
+            raise RuntimeError("a plane built without a family cannot "
+                               "publish snapshots")
         specs = list(events)
         core = build_snapshot(
             self.family, states, watermark=watermark, published_at=0.0,
@@ -490,16 +511,26 @@ class ServingPlane:
             return self._handle_state(params)
         if path == "/v1/events":
             return self._handle_events(params)
+        if path == "/trace":
+            self._m_requests.labels(endpoint=path, outcome="ok").inc()
+            return (200, self._json_body(self.tracer.chrome_trace()),
+                    _JSON, {})
+        if path == "/events":
+            self._m_requests.labels(endpoint=path, outcome="ok").inc()
+            return 200, self._json_body({
+                "format": EXPLAIN_FORMAT,
+                "events": self.explain.events()}), _JSON, {}
         self._m_requests.labels(endpoint="unknown", outcome="not_found").inc()
         return (404, self._json_body(
             {"error": "not found",
              "endpoints": ["/v1/state", "/v1/events", "/v1/subscribe",
                            "/ready", "/health", "/metrics",
-                           "/metrics.json"]}), _JSON, {})
+                           "/metrics.json", "/trace", "/events"]}),
+                _JSON, {})
 
     def _health_document(self) -> Dict[str, Any]:
         base = (self.health_provider() if self.health_provider is not None
-                else {"status": "serving", "run": None})
+                else {"status": "alive", "run": None})
         snapshot = self._snapshot
         base["plane"] = {
             "subscribers": len(self._subs),

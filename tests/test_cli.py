@@ -262,6 +262,25 @@ class TestLiveMonitor:
                 f"has a non-finite timestamp") in err
         assert "--reorder-horizon" not in err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["live"], id="single"),
+        pytest.param(["live", "--partitions", "2", "--checkpoint", "DIR"],
+                     id="partitioned"),
+    ])
+    def test_live_rejects_disorder_without_a_horizon(self, tmp_path, capsys,
+                                                     argv):
+        capture, model = self._prepare(tmp_path)
+        disordered, _ = self._disordered(tmp_path, capture)
+        command, *flags = [str(tmp_path / "ckpt") if arg == "DIR" else arg
+                           for arg in argv]
+        capsys.readouterr()
+        assert main([command, str(disordered), "--model", str(model)]
+                    + flags) == 1
+        err = capsys.readouterr().err
+        assert "capture is not time-sorted: stream went backwards: " in err
+        assert "hint: pass --reorder-horizon SECONDS" in err
+        assert "worker" not in err
+
     def test_live_family_mismatch_fails_cleanly(self, tmp_path, capsys):
         capture, model = self._prepare(tmp_path)
         capsys.readouterr()
@@ -337,6 +356,31 @@ class TestTelemetry:
         for earlier, later in zip(events, events[1:]):
             assert earlier["ts"] + earlier["dur"] <= later["ts"], (
                 earlier["name"], later["name"])
+
+    @pytest.mark.parametrize("command", ["detect", "live"])
+    def test_obs_port_announces_endpoint_and_frees_it(self, tmp_path,
+                                                      capsys, command):
+        import re
+        import socket
+
+        capture, model = self._prepare(tmp_path)
+        flags = (["--train-end", "86400"] if command == "detect"
+                 else ["--model", str(model)])
+        capsys.readouterr()
+        assert main([command, str(capture), "--obs-port", "0"]
+                    + flags) == 0
+        err = capsys.readouterr().err
+        match = re.search(
+            r"^observability endpoint: http://127\.0\.0\.1:(\d+)$", err,
+            re.MULTILINE)
+        assert match, err
+        # The plane stopped with the run: its port binds again.
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind(("127.0.0.1", int(match.group(1))))
+        finally:
+            probe.close()
 
     def test_live_metrics_embed_in_checkpoint(self, tmp_path, capsys):
         capture, model = self._prepare(tmp_path)

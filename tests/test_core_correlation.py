@@ -1,53 +1,7 @@
 """Multi-signal corroboration."""
 
-import pytest
-
-from repro.core.correlation import corroborate_events, fuse_timelines
-from repro.core.health import BlockDataError
-from repro.timeline import OutageEvent, Timeline
-
-
-class TestFuseTimelines:
-    def make(self, *down):
-        return Timeline(0, 100, list(down))
-
-    def test_majority_quorum_default(self):
-        fused = fuse_timelines([self.make((10, 30)), self.make((20, 40)),
-                                self.make((25, 35))])
-        # majority (2 of 3) agree on [20, 35)
-        assert fused.down_intervals == [(20.0, 35.0)]
-
-    def test_quorum_one_is_union(self):
-        fused = fuse_timelines([self.make((10, 20)), self.make((30, 40))],
-                               quorum=1)
-        assert fused.down_intervals == [(10.0, 20.0), (30.0, 40.0)]
-
-    def test_full_quorum_is_intersection(self):
-        fused = fuse_timelines([self.make((10, 30)), self.make((20, 40))],
-                               quorum=2)
-        assert fused.down_intervals == [(20.0, 30.0)]
-
-    def test_requires_input(self):
-        with pytest.raises(ValueError):
-            fuse_timelines([])
-
-    def test_span_mismatch_rejected_naming_source(self):
-        with pytest.raises(BlockDataError) as info:
-            fuse_timelines([self.make((10, 20)),
-                            Timeline(0, 90, [(10, 20)])],
-                           sources=["dns", "darknet"])
-        message = str(info.value)
-        assert "'darknet'" in message
-        assert "shared span" in message
-
-    def test_non_finite_interval_edge_rejected(self):
-        # Construction sanitises edges, so model the fault the check
-        # exists for: a corrupt deserialisation poking the internals.
-        broken = Timeline(0, 100, [(10.0, 20.0)])
-        broken._down = [(10.0, float("nan"))]
-        with pytest.raises(BlockDataError) as info:
-            fuse_timelines([self.make((10, 20)), broken])
-        assert "source[1]" in str(info.value)
+from repro.core.correlation import corroborate_events
+from repro.timeline import OutageEvent
 
 
 class TestCorroborateEvents:

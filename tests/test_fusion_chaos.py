@@ -323,6 +323,30 @@ class TestLiveBlinding:
             f"darknet capture record {record} (byte offset "
             f"{8 + 27 * record}) has a non-finite timestamp t=nan")
 
+    def test_partitioned_rejects_backwards_record_before_routing(
+            self, chaos_setup, tmp_path):
+        """With no reorder horizon, a record behind the merged stream
+        front fails in the parent with the single-process engine's
+        error, not inside whichever worker owns its block."""
+        from repro.telescope.capture import read_batches, write_batches
+
+        captures = dict(chaos_setup["captures_healthy"])
+        ipv4, _ = read_batches(captures["darknet"])
+        times = ipv4.times.copy()
+        record = int(np.searchsorted(times, chaos_setup["blind_at"]))
+        times[record] = times[record - 1] - 1.0
+        captures["darknet"] = str(tmp_path / "darknet-backwards.pobs")
+        write_batches(captures["darknet"], type(ipv4)(
+            ipv4.family, times, ipv4.block_keys, ipv4.qtypes))
+        with pytest.raises(ValueError) as single:
+            run_single_live(chaos_setup["model"], captures,
+                            chaos_setup["eval_start"])
+        with pytest.raises(ValueError) as partitioned:
+            run_partitioned_live(chaos_setup["model"], captures,
+                                 partitions=2)
+        assert "stream went backwards" in str(single.value)
+        assert str(partitioned.value) == str(single.value)
+
     def test_partitioned_matches_single_process_blinded(self, chaos_setup):
         model = chaos_setup["model"]
         truth = chaos_setup["truth"]

@@ -146,3 +146,18 @@ class TestImportHealth:
         assert violations == [], (
             "ingest modules must stay below the analysis layers: "
             + ", ".join(sorted(violations)))
+
+    def test_cli_import_loads_no_server_stack(self):
+        """``import repro.cli`` pulls in no HTTP or event-loop machinery:
+        the serving plane is imported only when a command serves."""
+        import os
+        import subprocess
+
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; "
+             "print(sorted(m for m in ('http.server', 'asyncio') "
+             "if m in sys.modules))"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, check=True)
+        assert loaded.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.core.correlation import corroborate_events, fuse_timelines
+from repro.core.correlation import corroborate_events
 from repro.core.detector import StreamingDetector
 from repro.core.pipeline import PassiveOutagePipeline
 from repro.eval.confusion import confusion_for_population
@@ -103,8 +103,10 @@ class TestMultiVantage:
     def test_split_vantages_fuse_to_one_picture(self, small_internet,
                                                 small_per_block):
         """Two vantage points each see a random half of every block's
-        queries; fused verdicts should recover what a single full view
-        concludes for dense blocks."""
+        queries; fusing their evidence in one belief filter should
+        recover what a single full view concludes."""
+        from repro.fusion import MappingSource, detect_fused, train_fused
+
         rng = np.random.default_rng(0)
         per_block = small_per_block[Family.IPV4]
         view_a, view_b = {}, {}
@@ -113,23 +115,17 @@ class TestMultiVantage:
             view_a[key] = times[mask]
             view_b[key] = times[~mask]
 
-        pipeline = PassiveOutagePipeline()
-        timelines = []
-        for view in (view_a, view_b):
-            train = {k: t[t < DAY] for k, t in view.items()}
-            evaluate = {k: t[t >= DAY] for k, t in view.items()}
-            model = pipeline.train(Family.IPV4, train, 0, DAY)
-            result = pipeline.detect(model, evaluate, DAY, 2 * DAY)
-            timelines.append({k: b.timeline
-                              for k, b in result.blocks.items()})
+        sources = [MappingSource("a", view_a, family=Family.IPV4),
+                   MappingSource("b", view_b, family=Family.IPV4)]
+        model = train_fused(sources, Family.IPV4, 0, DAY)
+        detection = detect_fused(
+            model, {source.name: source.per_block(Family.IPV4, DAY, 2 * DAY)
+                    for source in sources}, DAY, 2 * DAY)
 
         truths = {p.key: p.truth.clip(DAY, 2 * DAY)
                   for p in small_internet.family_profiles(Family.IPV4)}
-        common = set(timelines[0]) & set(timelines[1])
-        fused = {key: fuse_timelines([timelines[0][key], timelines[1][key]],
-                                     quorum=1)
-                 for key in common}
-        confusion = confusion_for_population(fused, truths)
+        confusion = confusion_for_population(
+            {k: b.timeline for k, b in detection.blocks.items()}, truths)
         assert confusion.precision > 0.98
         assert confusion.recall > 0.97
 

@@ -1,26 +1,35 @@
-"""The observability endpoint: one run's telemetry, served over HTTP.
+"""The observability endpoints: one run's telemetry, served over HTTP.
 
-Everything binds port 0 (ephemeral) on loopback, talks stdlib
-``urllib``, and tears the server down in the fixture — the suite must
-never collide with a real scrape target or leak a listener.
+``--obs-port`` runs a :class:`~repro.serve.ServingPlane` that is never
+published to, so these are the plane's diagnostic endpoints: metrics,
+health, trace and explain log.  Everything binds port 0 (ephemeral) on
+loopback, talks stdlib ``urllib``, and tears the plane down in the
+fixture — the suite must never collide with a real scrape target or
+leak a listener.
 """
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.obs.explain import EXPLAIN_FORMAT, ExplainLog
-from repro.obs.metrics import SNAPSHOT_FORMAT, MetricsRegistry
-from repro.obs.server import PROMETHEUS_CONTENT_TYPE, ObservabilityServer
+from repro.obs.metrics import (
+    PROMETHEUS_CONTENT_TYPE,
+    SNAPSHOT_FORMAT,
+    MetricsRegistry,
+)
 from repro.obs.tracing import SpanTracer
+from repro.serve import ServeConfig, ServingPlane
 
 
 @pytest.fixture()
 def plane():
-    """A server over a registry/tracer/explain trio with known content."""
+    """A plane over a registry/tracer/explain trio with known content."""
     registry = MetricsRegistry()
     registry.counter("runs_total", "runs").inc(3)
     registry.gauge("lag_seconds", merge="last").set(2.5)
@@ -29,8 +38,8 @@ def plane():
         pass
     explain = ExplainLog()
     explain.record({"event": "onset", "block": 0xCAFE, "time": 10.0})
-    server = ObservabilityServer(port=0, registry=registry, tracer=tracer,
-                                 explain=explain).start()
+    server = ServingPlane(config=ServeConfig(port=0), registry=registry,
+                          tracer=tracer, explain=explain).start()
     try:
         yield server, registry, tracer, explain
     finally:
@@ -40,6 +49,23 @@ def plane():
 def fetch(server, path):
     with urllib.request.urlopen(server.url + path, timeout=10) as response:
         return response.status, response.headers, response.read().decode()
+
+
+def health(server):
+    """The ``/health`` document without the plane's own section."""
+    _, _, body = fetch(server, "/health")
+    document = json.loads(body)
+    assert document.pop("plane")["snapshot_seq"] is None  # never published
+    return document
+
+
+def port_is_free(port):
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        probe.bind(("127.0.0.1", port))
+    finally:
+        probe.close()
 
 
 class TestEndpoints:
@@ -52,7 +78,7 @@ class TestEndpoints:
         assert "lag_seconds 2.5" in body
 
     def test_metrics_json_is_the_snapshot_document(self, plane):
-        server, registry, _, _ = plane
+        server, _, _, _ = plane
         _, _, body = fetch(server, "/metrics.json")
         document = json.loads(body)
         assert document["format"] == SNAPSHOT_FORMAT
@@ -75,22 +101,22 @@ class TestEndpoints:
 
     def test_health_defaults_to_process_liveness(self, plane):
         server, _, _, _ = plane
-        _, _, body = fetch(server, "/health")
-        assert json.loads(body) == {"status": "alive", "run": None}
+        assert health(server) == {"status": "alive", "run": None}
 
     def test_health_provider_hook(self, plane):
         server, _, _, _ = plane
         server.health_provider = lambda: {"status": "running",
                                           "partitions": [{"index": 0}]}
-        _, _, body = fetch(server, "/health")
-        assert json.loads(body)["partitions"] == [{"index": 0}]
+        assert health(server)["partitions"] == [{"index": 0}]
 
     def test_unknown_path_is_404_with_directions(self, plane):
         server, _, _, _ = plane
         with pytest.raises(urllib.error.HTTPError) as info:
             fetch(server, "/nope")
         assert info.value.code == 404
-        assert "/metrics" in info.value.read().decode()
+        endpoints = json.loads(info.value.read().decode())["endpoints"]
+        assert {"/metrics", "/metrics.json", "/health", "/trace",
+                "/events"} <= set(endpoints)
 
     def test_query_strings_ignored(self, plane):
         server, _, _, _ = plane
@@ -104,19 +130,24 @@ class TestScrapeTelemetry:
         fetch(server, "/metrics")
         fetch(server, "/metrics")
         fetch(server, "/health")
+        fetch(server, "/trace")
         try:
             fetch(server, "/nope")
         except urllib.error.HTTPError:
             pass
-        assert registry.value("obs_http_requests_total",
-                              endpoint="metrics") >= 2
-        assert registry.value("obs_http_requests_total",
-                              endpoint="health") == 1
-        assert registry.value("obs_http_requests_total",
-                              endpoint="unknown") == 1
+
+        def served(endpoint, outcome="ok"):
+            return registry.value("serve_requests_total",
+                                  endpoint=endpoint, outcome=outcome)
+
+        assert served("/metrics") >= 2
+        assert served("/health") == 1
+        assert served("/trace") == 1
+        assert served("unknown", "not_found") == 1
         # And the counter is itself visible on the next scrape.
         _, _, body = fetch(server, "/metrics")
-        assert 'obs_http_requests_total{endpoint="metrics"}' in body
+        assert ('serve_requests_total{endpoint="/metrics",outcome="ok"}'
+                in body)
 
 
 class TestLiveness:
@@ -154,21 +185,28 @@ class TestLiveness:
         assert str(server.port) in server.url
 
     def test_stop_releases_the_listener(self):
-        server = ObservabilityServer(port=0).start()
-        url = server.url
+        server = ServingPlane(config=ServeConfig(port=0)).start()
+        url, port = server.url, server.port
         server.stop()
         with pytest.raises(urllib.error.URLError):
             urllib.request.urlopen(url + "/health", timeout=0.5)
+        port_is_free(port)
 
     def test_defaults_serve_null_objects(self):
-        server = ObservabilityServer(port=0).start()
+        server = ServingPlane(config=ServeConfig(port=0)).start()
         try:
             _, _, body = fetch(server, "/metrics.json")
             assert json.loads(body)["metrics"] == []
             _, _, body = fetch(server, "/events")
             assert json.loads(body)["events"] == []
+            _, _, body = fetch(server, "/trace")
+            assert json.loads(body)["traceEvents"] == []
         finally:
             server.stop()
+
+    def test_publish_needs_a_family(self):
+        with pytest.raises(RuntimeError, match="family"):
+            ServingPlane().publish({}, watermark=0.0)
 
 
 class TestGracefulDrain:
@@ -178,12 +216,8 @@ class TestGracefulDrain:
         The health provider blocks until released; stop() runs on
         another thread while the scrape is mid-render.  The contract:
         the scrape still returns 200 with a full body (the socket is
-        not yanked), the port is released on return, and the in-flight
-        count drains to zero.
+        not yanked) and the port is released on return.
         """
-        import socket
-        import time
-
         entered = threading.Event()
         release = threading.Event()
 
@@ -192,8 +226,8 @@ class TestGracefulDrain:
             assert release.wait(timeout=10)
             return {"status": "draining-test", "run": None}
 
-        server = ObservabilityServer(port=0,
-                                     health_provider=slow_health).start()
+        server = ServingPlane(config=ServeConfig(port=0),
+                              health_provider=slow_health).start()
         port = server.port
         result = {}
 
@@ -203,7 +237,6 @@ class TestGracefulDrain:
         scraper = threading.Thread(target=scrape)
         scraper.start()
         assert entered.wait(timeout=10)
-        assert server.inflight == 1
 
         stopper = threading.Thread(target=server.stop)
         stopper.start()
@@ -218,19 +251,10 @@ class TestGracefulDrain:
         status, _, body = result["response"]
         assert status == 200
         assert json.loads(body)["status"] == "draining-test"
-        assert server.inflight == 0
-        # The port is provably free again.
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            probe.bind(("127.0.0.1", port))
-        finally:
-            probe.close()
+        port_is_free(port)
 
     def test_stop_drain_deadline_is_bounded(self):
         """A scrape wedged past the deadline cannot hang stop() forever."""
-        import time
-
         entered = threading.Event()
         release = threading.Event()
 
@@ -239,8 +263,8 @@ class TestGracefulDrain:
             release.wait(timeout=30)
             return {"status": "late", "run": None}
 
-        server = ObservabilityServer(port=0,
-                                     health_provider=wedged_health).start()
+        server = ServingPlane(config=ServeConfig(port=0, drain_s=0.3),
+                              health_provider=wedged_health).start()
 
         def scrape():
             try:
@@ -252,7 +276,7 @@ class TestGracefulDrain:
         scraper.start()
         assert entered.wait(timeout=10)
         began = time.monotonic()
-        server.stop(drain_s=0.3)
+        server.stop()
         assert time.monotonic() - began < 10.0
         release.set()
         scraper.join(timeout=10)
