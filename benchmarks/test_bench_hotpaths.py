@@ -199,17 +199,15 @@ def belief_population(bench_scale):
     return histories, parameters, observations
 
 
-def _timed_streaming_run(histories, parameters, observations, columnar):
-    """Drive one engine over the weeklong stream; return the summed
-    wall time of the ``advance`` calls (= streaming bin-close time,
-    since the packet feed between grid points closes zero bins) and
-    the detector for equivalence checks."""
+def _timed_streaming_run(histories, parameters, observations, engine):
+    """Drive one ``engine`` class over the weeklong stream; return the
+    summed wall time of the ``advance`` calls (= streaming bin-close
+    time, since the packet feed between grid points closes zero bins)
+    and the detector for equivalence checks."""
     import time as _time
 
-    from repro.core.detector import StreamingDetector
-
-    detector = StreamingDetector(Family.IPV4, histories, parameters, 0.0,
-                                 sentinel=None, columnar=columnar)
+    detector = engine(Family.IPV4, histories, parameters, 0.0,
+                      sentinel=None)
     wall = 0.0
     i = 0
     total = len(observations)
@@ -226,16 +224,19 @@ def _timed_streaming_run(histories, parameters, observations, columnar):
 
 
 def test_bench_columnar_bin_close_speedup(belief_population):
-    """The tentpole gate: columnar batched bin closes must beat the
-    scalar per-block loop by >= 5x on the weeklong synthetic — while
-    producing bit-identical detector state."""
+    """The bin-close gate: the production detector's batched cohort
+    closes must beat the scalar block-at-a-time oracle of
+    ``tests/scalar_oracle.py`` by >= 5x on the weeklong synthetic —
+    while producing bit-identical detector state."""
     from repro.core.checkpoint import detector_to_json
+    from repro.core.detector import StreamingDetector
+    from tests.scalar_oracle import ScalarStreamingDetector
 
     histories, parameters, observations = belief_population
     scalar_wall, scalar_det = _timed_streaming_run(
-        histories, parameters, observations, columnar=False)
+        histories, parameters, observations, ScalarStreamingDetector)
     columnar_wall, columnar_det = _timed_streaming_run(
-        histories, parameters, observations, columnar=True)
+        histories, parameters, observations, StreamingDetector)
 
     assert detector_to_json(scalar_det) == detector_to_json(columnar_det)
     assert scalar_det.windows_closed == columnar_det.windows_closed

@@ -1,7 +1,5 @@
 """Columnar cohort layout for the streaming belief engine.
 
-The scalar streaming detector closes bins one Python object at a time:
-every ``_close_bin`` call runs ~20 scalar numpy operations per block.
 At population scale (the paper judges hundreds of thousands of /24s)
 the per-bin hot path must be a batched array operation — Trinocular's
 Bayesian rounds and Chocolatine's telescope-scale streaming both hinge
@@ -12,62 +10,36 @@ array kernels they feed live beside their scalar oracles in
 owns the orchestration (which members close when, quarantine, hot
 swaps).
 
-Design contract — scalar is the oracle, columnar is the engine:
+Design contract — one close path:
 
-* Close *scheduling* is untouched.  Per-packet catch-up still closes a
-  lagging block's bins scalar, and ``advance(now)`` closes the same
-  bins at the same boundaries the scalar loop would.  Only the *math*
-  of simultaneous closes is batched, so audits, hot-swap boundaries,
+* Every streaming bin closes through a cohort: ``advance(now)`` closes
+  all members sharing a boundary in one kernel call, and a block that
+  packet catch-up finds lagging closes as a one-row cohort.  Close
+  *scheduling* (which bins close at which boundary) is that of a
+  block-at-a-time scalar loop, so audits, hot-swap boundaries,
   checkpoints, and partition splits observe bit-identical state.
 * :func:`diurnal_p_empty` replicates the scalar likelihood choice
   float for float, and the kernels replicate the scalar update, so a
-  batched close equals N scalar closes bit for bit (the property suite
-  pins it).
-* A member whose history or likelihood spec could make the scalar path
-  *raise* (non-finite summary, malformed profile) is excluded from its
-  cohort at build time and processed by the scalar loop in insertion
-  order, so quarantine order and dead-letter messages stay identical.
+  batched close equals N scalar closes bit for bit.  The scalar
+  block-at-a-time detector lives in the test suite, which pins this
+  equality.
+* Poison is screened at the close, not at admission: a member whose
+  parameters are non-finite (:attr:`Cohort.poisoned_rows`) or whose
+  likelihood input comes out non-finite is dead-lettered there with
+  the scalar path's :class:`~repro.core.health.BlockDataError` text.  A
+  malformed profile lays out as NaN factors so that screen sees it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
 from .history import DIURNAL_SLOTS
 
-__all__ = ["Cohort", "build_cohorts", "diurnal_p_empty",
-           "history_is_clean"]
-
-
-def history_is_clean(history: Any) -> bool:
-    """True when the scalar likelihood math over ``history`` cannot
-    raise or produce non-finite evidence — the admission test for a
-    cohort.  Anything suspicious keeps the scalar path (and with it the
-    exact exception type, message, and quarantine order)."""
-    try:
-        if not (np.isfinite(history.mean_rate)
-                and np.isfinite(history.burstiness)):
-            return False
-        profile = history.diurnal_profile
-        if profile is not None:
-            profile = np.asarray(profile, dtype=float)
-            if profile.shape != (DIURNAL_SLOTS,):
-                return False
-            if not np.isfinite(profile).all():
-                return False
-        weekly = history.weekly_profile
-        if weekly is not None:
-            weekly = np.asarray(weekly, dtype=float)
-            if weekly.shape != (7,):
-                return False
-            if not np.isfinite(weekly).all():
-                return False
-    except Exception:
-        return False
-    return True
+__all__ = ["Cohort", "build_cohorts", "diurnal_p_empty"]
 
 
 @dataclass
@@ -78,8 +50,7 @@ class Cohort:
     state objects — the detector's dicts stay authoritative; the
     cohort only caches what does not change between hot swaps.
     Per-close values (belief, counts, ``next_bin_end``) are gathered
-    fresh at each boundary, so packet-driven scalar closes never
-    invalidate the cohort.
+    fresh at each boundary, so closes never invalidate the cohort.
     """
 
     bin_seconds: float
@@ -92,6 +63,9 @@ class Cohort:
     prior_up_recovery: np.ndarray
     down_threshold: np.ndarray
     up_threshold: np.ndarray
+    #: rows whose ``noise_nonempty``, ``prior_down`` or
+    #: ``prior_up_recovery`` is non-finite (the close dead-letters them)
+    poisoned_rows: FrozenSet[int]
     # -- diurnal likelihood rows -------------------------------------
     has_diurnal: np.ndarray
     mean_rate: np.ndarray
@@ -106,10 +80,17 @@ class Cohort:
         return len(self.keys)
 
 
-def _shrink(profile: np.ndarray) -> np.ndarray:
+def _shrink(profile: Any, slots: int) -> np.ndarray:
     """The likelihood shrinkage of ``BlockHistory.likelihood_rate_at``:
     below-average slots at face value, above-average slots shrunk
-    toward the mean (same float ops, evaluated as an array)."""
+    toward the mean (same float ops, evaluated as an array).  A profile
+    that is not ``slots`` numbers yields NaN factors."""
+    try:
+        profile = np.asarray(profile, dtype=float)
+    except (TypeError, ValueError):
+        return np.full(slots, np.nan)
+    if profile.shape != (slots,):
+        return np.full(slots, np.nan)
     return np.where(profile < 1.0, profile, 0.75 * profile + 0.25)
 
 
@@ -137,24 +118,28 @@ def build_cohorts(entries: List[Tuple[Any, int, Any]],
         for row, state in enumerate(states):
             history = state.history
             if history.diurnal_profile is not None:
-                diurnal[row] = _shrink(
-                    np.asarray(history.diurnal_profile, dtype=float))
+                diurnal[row] = _shrink(history.diurnal_profile,
+                                       DIURNAL_SLOTS)
                 if history.weekly_profile is not None:
-                    weekly[row] = _shrink(
-                        np.asarray(history.weekly_profile, dtype=float))
+                    weekly[row] = _shrink(history.weekly_profile, 7)
         burstiness = np.array(
             [state.history.burstiness for state in states], dtype=float)
+        noise = np.array([p.noise_nonempty for p in params])
+        prior_down = np.array([p.prior_down for p in params])
+        prior_up = np.array([p.prior_up_recovery for p in params])
         cohorts.append(Cohort(
             bin_seconds=float(states[0].params.bin_seconds),
             keys=keys,
             states=states,
             p_empty_up=np.array([p.p_empty_up for p in params]),
-            noise_nonempty=np.array([p.noise_nonempty for p in params]),
-            prior_down=np.array([p.prior_down for p in params]),
-            prior_up_recovery=np.array(
-                [p.prior_up_recovery for p in params]),
+            noise_nonempty=noise,
+            prior_down=prior_down,
+            prior_up_recovery=prior_up,
             down_threshold=np.array([p.down_threshold for p in params]),
             up_threshold=np.array([p.up_threshold for p in params]),
+            poisoned_rows=frozenset(np.flatnonzero(
+                ~(np.isfinite(noise) & np.isfinite(prior_down)
+                  & np.isfinite(prior_up))).tolist()),
             has_diurnal=has_diurnal,
             mean_rate=np.array(
                 [state.history.mean_rate for state in states], dtype=float),
@@ -170,7 +155,7 @@ def diurnal_p_empty(cohort: Cohort, rows: np.ndarray,
     """Per-member P(empty bin | up) for the bin starting at
     ``bin_start`` — ``empty_bin_probability_at`` over the selected
     rows, with the tuned ``p_empty_up`` for members without a diurnal
-    profile (exactly the scalar detector's ``_update_belief`` choice).
+    profile (exactly the scalar oracle's choice).
     """
     hour = int((bin_start % 86400.0) // 3600.0) % DIURNAL_SLOTS
     day = int((bin_start % (7 * 86400.0)) // 86400.0) % 7

@@ -7,9 +7,12 @@ pass, and emits refined per-block timelines.
 
 :class:`StreamingDetector` is the deployment shape: it consumes a live,
 time-ordered observation stream and emits up/down transitions with the
-same refinement, using the scalar :class:`~repro.core.belief.BeliefState`
-per block.  Both paths share parameters and likelihoods, and the test
-suite pins them to identical decisions on identical input.
+same refinement.  Every bin it closes goes through one path: blocks
+that share a boundary close in one batched kernel update per parameter
+cohort (:mod:`repro.core.columnar`), and a single lagging block closes
+as a one-row cohort.  The scalar :class:`~repro.core.belief.BeliefState`
+is the kernels' oracle; the test suite holds a block-at-a-time scalar
+detector and pins this one to it bit for bit.
 """
 
 from __future__ import annotations
@@ -30,12 +33,7 @@ from ..telescope.capture import RecordChunk
 from ..telescope.records import Observation
 from ..timeline import OutageEvent, Timeline
 from .belief import BeliefState, columnar_update, guarded_belief_pass
-from .columnar import (
-    Cohort,
-    build_cohorts,
-    diurnal_p_empty,
-    history_is_clean,
-)
+from .columnar import Cohort, build_cohorts, diurnal_p_empty
 from .events import (
     RefinementConfig,
     gap_outages,
@@ -378,18 +376,14 @@ class StreamingDetector:
         max_quarantine_frac: float = 0.5,
         metrics: Optional[Any] = None,
         explain: Optional[Any] = None,
-        columnar: Optional[bool] = None,
     ) -> None:
         self.family = family
         self.start = float(start)
-        #: when True (the default), ``advance`` closes all bins sharing
-        #: a boundary with one batched array update per parameter
-        #: cohort; the scalar per-block loop remains the oracle (and is
-        #: used automatically while decision provenance is on, which
-        #: needs per-update evidence staging).
-        self.columnar = True if columnar is None else bool(columnar)
+        #: parameter cohorts every bin closes through (built lazily,
+        #: dropped when membership or a block model changes), and each
+        #: member's ``(cohort, row)`` for a one-row packet catch-up.
         self._cohorts: Optional[List[Cohort]] = None
-        self._cohort_stragglers: List[int] = []
+        self._cohort_rows: Dict[int, Tuple[Cohort, int]] = {}
         self.refinement = refinement or RefinementConfig()
         self.sentinel = sentinel
         self.histories = dict(histories)
@@ -431,10 +425,12 @@ class StreamingDetector:
         #: default costs one ``enabled`` attribute read per bin close.
         self.explain = resolve_explain(explain)
         #: per-block belief trajectory over the deciding bins, kept only
-        #: while provenance is on; the most recent evidence dict is
-        #: staged by ``_update_belief`` for the transition event.
+        #: while provenance is on.
         self._trajectories: Dict[int, deque] = {}
-        self._last_evidence: Optional[Dict[str, Any]] = None
+        #: block insertion order, and the events one ``advance`` holds
+        #: back to record in it (None outside ``advance``).
+        self._order = {key: index for index, key in enumerate(self._states)}
+        self._held: Optional[List[Tuple[int, Dict[str, Any]]]] = None
         self._register_metrics()
 
     def _register_metrics(self, backfill: bool = True) -> None:
@@ -469,9 +465,6 @@ class StreamingDetector:
         self._m_blocks = m.gauge(
             "stream_active_blocks",
             "Blocks still tracked (not dead-lettered)")
-        self._m_belief = m.histogram(
-            "belief_update_seconds",
-            "Wall-time of one scalar belief update at bin close")
         self._m_stream_bins = m.counter(
             "belief_bins_total",
             "Bins filtered by the vectorised belief pass",
@@ -658,39 +651,24 @@ class StreamingDetector:
     def advance(self, now: float) -> None:
         """Flush every block's complete bins up to wall-clock ``now``.
 
-        With :attr:`columnar` on (the default) and provenance off, all
-        blocks sharing a bin boundary close in one batched array
-        update per parameter cohort; otherwise each block takes the
-        scalar per-bin path.  Both paths close exactly the same bins
-        at the same boundaries and leave bit-identical per-block
-        state — the property suite pins scalar as the oracle.
+        All blocks sharing a bin boundary close in one batched array
+        update per parameter cohort.  With provenance on, the events of
+        one call are recorded in block insertion order, each block's
+        own events in boundary order.
         """
         self._last_time = max(self._last_time, now)
         if self.sentinel is not None:
             self.sentinel.advance(now)
-        if not self.columnar or self.explain.enabled:
-            for key, state in list(self._states.items()):
-                try:
-                    self._advance_block(key, state, now)
-                except Exception as error:
-                    self._quarantine(key, "stream", error)
-            return
         if self._cohorts is None:
             self._build_cohorts()
-        cohorts = self._cohorts
-        # Suspect members (a history the scalar math could raise on)
-        # keep the scalar path, in insertion order, so quarantine
-        # order and dead-letter messages match the scalar engine.
-        for key in self._cohort_stragglers:
-            state = self._states.get(key)
-            if state is None:
-                continue
-            try:
-                self._advance_block(key, state, now)
-            except Exception as error:
-                self._quarantine(key, "stream", error)
-        for cohort in cohorts:
-            self._advance_cohort(cohort, now)
+        self._held = [] if self.explain.enabled else None
+        try:
+            for cohort in self._cohorts:
+                self._advance_cohort(cohort, now)
+        finally:
+            held, self._held = self._held, None
+            for _, event in sorted(held or (), key=lambda item: item[0]):
+                self._record_event(event)
 
     # -- columnar bin close --------------------------------------------------
 
@@ -698,57 +676,54 @@ class StreamingDetector:
         """Drop the cohort cache (membership or block models changed).
 
         Cheap and safe to call often: cohorts rebuild lazily at the
-        next columnar ``advance``.  Packet-driven scalar closes do
-        *not* need this — per-close state is gathered fresh at every
-        boundary; only parameter/history swaps, quarantines, and
-        checkpoint restores invalidate the static columns.
+        next close.  Per-close state (belief, counts, ``next_bin_end``)
+        is gathered fresh at every boundary; only parameter/history
+        swaps, quarantines, and checkpoint restores invalidate the
+        static columns.
         """
         self._cohorts = None
-        self._cohort_stragglers = []
 
     def _cohort_signature(self, key: int,
-                          state: _StreamBlockState) -> Optional[Any]:
-        """Grouping key for the columnar store; None keeps the block on
-        the scalar path (suspect history)."""
-        if not history_is_clean(state.history):
-            return None
+                          state: _StreamBlockState) -> Any:
+        """Grouping key for the columnar store."""
         return (state.params.bin_seconds,)
 
     def _cohort_extras(self, cohort: Cohort) -> None:
         """Populate subclass payload on a freshly built cohort."""
 
     def _build_cohorts(self) -> None:
-        entries: List[Tuple[Any, int, _StreamBlockState]] = []
-        stragglers: List[int] = []
-        for key, state in self._states.items():
-            signature = self._cohort_signature(key, state)
-            if signature is None:
-                stragglers.append(key)
-            else:
-                entries.append((signature, key, state))
-        self._cohorts = build_cohorts(entries)
-        self._cohort_stragglers = stragglers
+        self._cohorts = build_cohorts([
+            (self._cohort_signature(key, state), key, state)
+            for key, state in self._states.items()])
+        self._cohort_rows = {key: (cohort, row)
+                             for cohort in self._cohorts
+                             for row, key in enumerate(cohort.keys)}
         for cohort in self._cohorts:
             self._cohort_extras(cohort)
 
-    def _advance_cohort(self, cohort: Cohort, now: float) -> None:
-        """Close every cohort member's pending bins up to ``now``,
-        batching all members that share each boundary."""
+    def _advance_cohort(self, cohort: Cohort, now: float,
+                        rows: Optional[np.ndarray] = None) -> None:
+        """Close the pending bins of ``rows`` (default: every member)
+        up to ``now``, batching the members that share each boundary."""
         states = cohort.states
-        next_ends = np.array([state.next_bin_end for state in states])
+        members = (states if rows is None
+                   else [states[row] for row in rows.tolist()])
+        next_ends = np.array([state.next_bin_end for state in members])
         while True:
             pending = next_ends <= now
             if not pending.any():
                 break
             boundary = float(next_ends[pending].min())
-            rows = np.flatnonzero(next_ends == boundary)
-            self._close_cohort(cohort, rows, boundary, now)
-            for row in rows.tolist():
-                key = cohort.keys[row]
-                if key not in self._states:
-                    next_ends[row] = np.inf
+            due = np.flatnonzero(next_ends == boundary)
+            closing = due if rows is None else rows[due]
+            self._close_cohort(cohort, closing, boundary, now)
+            indices = due.tolist()
+            for index, row in zip(indices, indices if rows is None
+                                  else closing.tolist()):
+                if cohort.keys[row] not in self._states:
+                    next_ends[index] = np.inf
                 else:
-                    next_ends[row] = states[row].next_bin_end
+                    next_ends[index] = states[row].next_bin_end
 
     def _cohort_posterior(self, cohort: Cohort, rows: np.ndarray,
                           keys: List[int],
@@ -756,31 +731,61 @@ class StreamingDetector:
                           bin_start: float, boundary: float,
                           belief: np.ndarray, was_up: np.ndarray,
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                     Optional[np.ndarray]]:
-        """Batched belief math for one boundary; the single-source
-        replica of :meth:`BeliefState.update`.  Returns ``(belief,
-        is_up, guardrail_trips, bad)`` where ``bad`` marks members that
-        must fall back to the scalar close (residual poisoned
-        evidence) — None when every member is clean."""
+                                     Dict[int, BlockDataError],
+                                     Optional[List[Dict[str, Any]]]]:
+        """Batched belief math for one boundary (the single-source
+        :meth:`~repro.core.belief.BeliefState.update`).  Returns
+        ``(belief, is_up, guardrail_trips, rejected, evidence)``:
+        ``rejected`` maps the position of each member the screen fails
+        (non-finite ``p_empty``, then non-finite parameters) to its
+        error, and ``evidence`` holds each member's consumed inputs
+        while provenance is on (else None)."""
         counts = np.fromiter((state.bin_count for state in members),
                              np.int64, len(members))
         p_empty = diurnal_p_empty(cohort, rows, bin_start)
-        bad: Optional[np.ndarray] = ~np.isfinite(p_empty)
-        if bad.any():
-            p_empty = np.where(bad, 0.5, p_empty)
-        else:
-            bad = None
+        rejected: Dict[int, BlockDataError] = {}
+        finite = np.isfinite(p_empty)
+        if not finite.all():
+            for position in np.flatnonzero(~finite).tolist():
+                rejected[position] = BlockDataError(
+                    f"non-finite p_empty_up {float(p_empty[position])!r}: "
+                    f"block model is poisoned (bad history or parameters)")
+        self._reject_parameters(cohort, rows, rejected)
         new_belief, new_up, trips = columnar_update(
             belief, was_up, counts, p_empty,
             cohort.noise_nonempty[rows], cohort.prior_down[rows],
             cohort.prior_up_recovery[rows], cohort.down_threshold[rows],
             cohort.up_threshold[rows])
-        return new_belief, new_up, trips, bad
+        evidence = None
+        if self.explain.enabled:
+            evidence = [{"count": count, "p_empty": p}
+                        for count, p in zip(counts.tolist(),
+                                            p_empty.tolist())]
+        return new_belief, new_up, trips, rejected, evidence
+
+    @staticmethod
+    def _reject_parameters(cohort: Cohort, rows: np.ndarray,
+                           rejected: Dict[int, BlockDataError]) -> None:
+        """Reject members with a non-finite ``noise_nonempty``,
+        ``prior_down`` or ``prior_up_recovery`` not rejected yet."""
+        poisoned = cohort.poisoned_rows
+        if poisoned:
+            for position, row in enumerate(rows.tolist()):
+                if row in poisoned:
+                    rejected.setdefault(position, BlockDataError(
+                        "non-finite likelihood/prior parameters: block "
+                        "model is poisoned (bad history or parameters)"))
 
     def _close_cohort(self, cohort: Cohort, rows: np.ndarray,
                       boundary: float, now: float) -> None:
-        """Close one shared boundary for ``rows`` of ``cohort`` — the
-        batched equivalent of N scalar :meth:`_close_bin` calls."""
+        """Close one shared boundary for ``rows`` of ``cohort`` with one
+        batched belief update.
+
+        Members the posterior rejects (non-finite likelihood inputs or
+        parameters) are dead-lettered with their
+        :class:`~repro.core.health.BlockDataError`; the rest close
+        without them.
+        """
         clock = _time.perf_counter() if self.metrics.enabled else None
         bin_seconds = cohort.bin_seconds
         bin_start = boundary - bin_seconds
@@ -790,77 +795,69 @@ class StreamingDetector:
             (state.belief.belief for state in members), float,
             len(members))
         was_up = np.array([state.belief.is_up for state in members])
-        new_belief, new_up, trips, bad = self._cohort_posterior(
-            cohort, rows, keys, members, bin_start, boundary, belief,
-            was_up)
-        if bad is not None and bad.any():
-            # Residual poison the admission check could not see: those
-            # members take the scalar close so the exact BlockDataError
-            # lands in the dead-letter registry.
-            for position in np.flatnonzero(bad).tolist():
-                key, state = keys[position], members[position]
-                try:
-                    self._close_bin(key, state)
-                except Exception as error:
-                    self._quarantine(key, "stream", error)
-            keep = np.flatnonzero(~bad)
-            if keep.size == 0:
+        new_belief, new_up, trips, rejected, evidence = (
+            self._cohort_posterior(cohort, rows, keys, members, bin_start,
+                                   boundary, belief, was_up))
+        if rejected:
+            for position, error in sorted(rejected.items()):
+                self._quarantine(keys[position], "stream", error)
+            if len(rejected) == len(members):
                 return
-            keys = [keys[i] for i in keep.tolist()]
-            members = [members[i] for i in keep.tolist()]
-            was_up = was_up[keep]
-            new_belief = new_belief[keep]
-            new_up = new_up[keep]
-            trips = trips[keep]
+        closed = 0
+        trip_total = 0
         flips_down = 0
         flips_up = 0
         swapped: List[Tuple[int, _StreamBlockState]] = []
-        for key, state, value, up, trip, previous in zip(
-                keys, members, new_belief.tolist(), new_up.tolist(),
-                trips.tolist(), was_up.tolist()):
+        for position, (key, state, value, up, trip, previous) in enumerate(
+                zip(keys, members, new_belief.tolist(), new_up.tolist(),
+                    trips.tolist(), was_up.tolist())):
+            if position in rejected:
+                continue
+            closed += 1
             block_belief = state.belief
             block_belief.belief = value
             block_belief.is_up = up
             if trip:
                 block_belief.guardrail_trips += trip
-            if previous and not up:
-                flips_down += 1
+                trip_total += trip
+            if evidence is not None:
+                self._explain_close(key, bin_start, boundary, value,
+                                    previous, up, evidence[position])
+            if previous != up:
                 mean_gap = (1.0 / state.history.mean_rate
                             if state.history.mean_rate > 0
                             else bin_seconds)
                 guard = min(self.refinement.guard_gaps * mean_gap,
                             bin_seconds)
-                max_backfill = (self.refinement.max_backfill_bins
-                                * bin_seconds)
-                if state.last_packet is not None:
-                    refined = max(state.last_packet + guard,
-                                  bin_start - max_backfill)
+                if up:
+                    flips_up += 1
+                    # Refined recovery: the first packet of the reviving
+                    # bin, pulled back one forward-recurrence time (see
+                    # events.refine_timeline) so durations stay unbiased.
+                    first = state.first_packet_this_bin
+                    state.transitions.append(
+                        (bin_start if first is None else first - guard,
+                         True))
                 else:
-                    refined = bin_start
-                state.transitions.append((min(refined, boundary), False))
-            elif not previous and up:
-                flips_up += 1
-                if state.first_packet_this_bin is not None:
-                    mean_gap = (1.0 / state.history.mean_rate
-                                if state.history.mean_rate > 0
-                                else bin_seconds)
-                    guard = min(self.refinement.guard_gaps * mean_gap,
-                                bin_seconds)
-                    recovery = state.first_packet_this_bin - guard
-                else:
-                    recovery = bin_start
-                state.transitions.append((recovery, True))
+                    flips_down += 1
+                    # Refined outage start: just after the last packet.
+                    backfill = self.refinement.max_backfill_bins * bin_seconds
+                    refined = (bin_start if state.last_packet is None
+                               else max(state.last_packet + guard,
+                                        bin_start - backfill))
+                    state.transitions.append((min(refined, boundary),
+                                              False))
             state.bin_count = 0
             state.first_packet_this_bin = None
             swap = self._pending_swaps.pop(key, None)
             if swap is not None:
+                # The boundary just closed is where the retuned model
+                # takes over; the new bin grid restarts from it.
                 self._apply_swap(key, state, swap[0], swap[1], boundary)
                 swapped.append((key, state))
             else:
                 state.next_bin_end = boundary + bin_seconds
-        closed = len(members)
         self.windows_closed += closed
-        trip_total = int(trips.sum())
         if trip_total:
             self.guardrails.trip("neutralised_bin", trip_total)
         self._m_bins.inc(closed)
@@ -871,8 +868,8 @@ class StreamingDetector:
         self._m_lag.set(self._last_time - boundary)
         self._m_clock.set(self._last_time)
         for key, state in swapped:
-            # A swap may re-grid the member; catch it up scalar for the
-            # rest of this advance (its cohort row rebuilds lazily).
+            # A swap may re-grid the member: catch it up on its new
+            # cohort row for the rest of this close.
             try:
                 self._advance_block(key, state, now)
             except Exception as error:
@@ -899,6 +896,9 @@ class StreamingDetector:
             })
 
     def _record_event(self, event: Dict[str, Any]) -> None:
+        if self._held is not None:
+            self._held.append((self._order[event["block"]], event))
+            return
         self.explain.record(event)
         self._m_explain.labels(kind=event["event"]).inc()
 
@@ -1088,121 +1088,38 @@ class StreamingDetector:
 
     def _advance_block(self, key: int, state: _StreamBlockState,
                        now: float) -> None:
-        """Close every bin that ends at or before ``now``."""
-        while state.next_bin_end <= now:
-            self._close_bin(key, state)
+        """Close one block's bins that end at or before ``now`` (packet
+        catch-up) as a one-row cohort."""
+        if state.next_bin_end <= now:
+            if self._cohorts is None:
+                self._build_cohorts()
+            cohort, row = self._cohort_rows[key]
+            self._advance_cohort(cohort, now, np.array([row]))
 
-    def _update_belief(self, key: int, state: _StreamBlockState,
-                       bin_start: float) -> bool:
-        """Apply one closed bin's evidence; returns the new up/down state.
+    def _explain_close(self, key: int, bin_start: float, boundary: float,
+                       belief: float, was_up: bool, is_up: bool,
+                       evidence: Dict[str, Any]) -> None:
+        """Track one block's belief trajectory; record a threshold
+        crossing with the evidence the close consumed.
 
-        Split out of :meth:`_close_bin` so the fusion layer's detector
-        can substitute a multi-source weighted update while inheriting
-        all of the bin-close bookkeeping (refined transition placement,
-        metrics, hot-swap application) unchanged.
-        """
-        params = state.params
-        p_empty = (state.history.empty_bin_probability_at(
-            bin_start, params.bin_seconds)
-            if state.history.diurnal_profile is not None else None)
-        if self.explain.enabled:
-            # Stage the evidence *before* the update so the recorded
-            # floats are exactly what the belief math consumed.
-            self._last_evidence = {
-                "count": state.bin_count,
-                "p_empty": (p_empty if p_empty is not None
-                            else params.p_empty_up),
-            }
-        return state.belief.update(state.bin_count, p_empty)
-
-    def _explain_bin(self, key: int, state: _StreamBlockState,
-                     bin_start: float, was_up: bool, is_up: bool) -> None:
-        """Track the belief trajectory; record threshold crossings.
-
-        Called only when provenance is on.  The evidence dict staged by
-        :meth:`_update_belief` (or the fusion layer's override) is
-        attached verbatim — those are the very floats the update
-        consumed, which is what makes the event bit-for-bit auditable.
+        ``evidence`` holds the very floats the kernels consumed for this
+        block, which is what makes the event bit-for-bit auditable.
         """
         trajectory = self._trajectories.get(key)
         if trajectory is None:
             trajectory = deque(maxlen=EXPLAIN_TRAJECTORY_BINS)
             self._trajectories[key] = trajectory
-        trajectory.append((bin_start, state.belief.belief))
+        trajectory.append((bin_start, belief))
         if was_up == is_up:
             return
         event: Dict[str, Any] = {
             "event": "transition",
             "block": key,
-            "time": state.next_bin_end,
+            "time": boundary,
             "bin_start": bin_start,
             "is_up": is_up,
-            "belief": state.belief.belief,
+            "belief": belief,
             "trajectory": list(trajectory),
         }
-        if self._last_evidence is not None:
-            event.update(self._last_evidence)
+        event.update(evidence)
         self._record_event(event)
-
-    def _close_bin(self, key: int, state: _StreamBlockState) -> None:
-        params = state.params
-        was_up = state.belief.is_up
-        bin_start = state.next_bin_end - params.bin_seconds
-        trips_before = state.belief.guardrail_trips
-        update_clock = (_time.perf_counter()
-                        if self.metrics.enabled else None)
-        is_up = self._update_belief(key, state, bin_start)
-        if update_clock is not None:
-            self._m_belief.observe(_time.perf_counter() - update_clock)
-        if self.explain.enabled:
-            self._explain_bin(key, state, bin_start, was_up, is_up)
-        # Guardrail trips are accounted the moment they happen (delta
-        # against the belief state's running total) so the health report
-        # and the metrics registry can never disagree mid-run.
-        trip_delta = state.belief.guardrail_trips - trips_before
-        if trip_delta:
-            self.guardrails.trip("neutralised_bin", trip_delta)
-        self._m_bins.inc()
-        self._m_lag.set(self._last_time - state.next_bin_end)
-        self._m_clock.set(self._last_time)
-        if was_up and not is_up:
-            self._m_down.inc()
-            # Refined outage start: just after the last packet seen.
-            mean_gap = (1.0 / state.history.mean_rate
-                        if state.history.mean_rate > 0 else params.bin_seconds)
-            guard = min(self.refinement.guard_gaps * mean_gap,
-                        params.bin_seconds)
-            max_backfill = (self.refinement.max_backfill_bins
-                            * params.bin_seconds)
-            if state.last_packet is not None:
-                refined = max(state.last_packet + guard,
-                              bin_start - max_backfill)
-            else:
-                refined = bin_start
-            state.transitions.append((min(refined, state.next_bin_end), False))
-        elif not was_up and is_up:
-            self._m_up.inc()
-            # Refined recovery: the first packet of the reviving bin,
-            # pulled back one forward-recurrence time (see
-            # events.refine_timeline) so durations stay unbiased.
-            if state.first_packet_this_bin is not None:
-                mean_gap = (1.0 / state.history.mean_rate
-                            if state.history.mean_rate > 0
-                            else params.bin_seconds)
-                guard = min(self.refinement.guard_gaps * mean_gap,
-                            params.bin_seconds)
-                recovery = state.first_packet_this_bin - guard
-            else:
-                recovery = bin_start
-            state.transitions.append((recovery, True))
-        state.bin_count = 0
-        state.first_packet_this_bin = None
-        self.windows_closed += 1
-        swap = self._pending_swaps.pop(key, None)
-        if swap is not None:
-            # The boundary just closed is where the retuned model takes
-            # over; the new bin grid restarts from it.
-            self._apply_swap(key, state, swap[0], swap[1],
-                             state.next_bin_end)
-        else:
-            state.next_bin_end += params.bin_seconds

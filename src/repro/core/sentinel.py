@@ -179,7 +179,7 @@ class VantageSentinel:
 
     def observe(self, time: float) -> None:
         """Count one arrival (monotone non-decreasing time expected)."""
-        self._close_bins_to(time)
+        self._judge_bins_to(time)
         self._bin_count += 1
 
     def observe_bulk(self, time: float, count: int) -> None:
@@ -190,12 +190,12 @@ class VantageSentinel:
         resulting sentinel state is identical to per-packet feeding of
         the same arrivals.
         """
-        self._close_bins_to(time)
+        self._judge_bins_to(time)
         self._bin_count += int(count)
 
     def advance(self, now: float) -> None:
         """Close bins up to wall-clock ``now`` (judges total silence)."""
-        self._close_bins_to(now)
+        self._judge_bins_to(now)
 
     @property
     def bin_end(self) -> float:
@@ -311,12 +311,12 @@ class VantageSentinel:
 
     # -- internals ----------------------------------------------------------
 
-    def _close_bins_to(self, now: float) -> None:
+    def _judge_bins_to(self, now: float) -> None:
         config = self.config
         while self._bin_start + config.bin_seconds <= now:
-            self._close_bin()
+            self._judge_bin()
 
-    def _close_bin(self) -> None:
+    def _judge_bin(self) -> None:
         config = self.config
         count = self._bin_count
         closed_bin_start = self._bin_start

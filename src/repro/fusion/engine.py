@@ -26,8 +26,8 @@ Degradation semantics, in order of escalation:
 
 Both deployment shapes are provided: :func:`detect_fused` (vectorised
 batch over :func:`~repro.core.belief.fused_belief_pass`) and
-:class:`FusedStreamingDetector` (scalar streaming, checkpointable via
-the v1 format's defaulted ``fusion`` key).
+:class:`FusedStreamingDetector` (streaming through the columnar cohort
+close, checkpointable via the v1 format's defaulted ``fusion`` key).
 """
 
 from __future__ import annotations
@@ -54,11 +54,9 @@ from ..core.checkpoint import (
     parse_checkpoint_document,
 )
 from ..core.belief import (
-    bin_log_likelihood_ratio,
     columnar_fused_posterior,
     columnar_llr,
     fused_belief_pass,
-    fused_posterior,
 )
 from ..core.columnar import Cohort, diurnal_p_empty
 from ..core.detector import (
@@ -614,7 +612,6 @@ class FusedStreamingDetector(StreamingDetector):
         metrics: Optional[Any] = None,
         monitors: Optional[Dict[str, SourceMonitor]] = None,
         explain: Optional[Any] = None,
-        columnar: Optional[bool] = None,
     ) -> None:
         self.model = model
         self.source_names = model.source_names
@@ -627,8 +624,7 @@ class FusedStreamingDetector(StreamingDetector):
         super().__init__(model.family, histories, parameters, start,
                          refinement=refinement, sentinel=None,
                          max_quarantine_frac=max_quarantine_frac,
-                         metrics=metrics, explain=explain,
-                         columnar=columnar)
+                         metrics=metrics, explain=explain)
         if monitors is None:
             monitors = {
                 name: SourceMonitor.fresh(name, self.start, sentinel_config,
@@ -723,18 +719,12 @@ class FusedStreamingDetector(StreamingDetector):
         # Gap detector over the *merged* stream: only meaningful while
         # every vantage is trusted — a gap spanning an observer failure
         # says nothing about the block.
-        threshold = state.params.gap_threshold_seconds
         if (state.last_packet is not None
-                and observation.time - state.last_packet > threshold
+                and observation.time - state.last_packet
+                > state.params.gap_threshold_seconds
                 and self._trusted_window(state.last_packet,
                                          observation.time)):
-            mean_gap = (1.0 / state.history.mean_rate
-                        if state.history.mean_rate > 0
-                        else state.params.bin_seconds)
-            guard = min(self.refinement.guard_gaps * mean_gap,
-                        threshold / 2.0)
-            state.transitions.append((state.last_packet + guard, False))
-            state.transitions.append((observation.time - guard, True))
+            self._gap_outage(state, state.last_packet, observation.time)
         if state.first_packet_this_bin is None:
             state.first_packet_this_bin = observation.time
         state.bin_count += 1
@@ -743,101 +733,15 @@ class FusedStreamingDetector(StreamingDetector):
         if counts is not None and self._active_source is not None:
             counts[self._active_source] += 1
 
-    def _update_belief(self, key: int, state: _StreamBlockState,
-                       bin_start: float) -> bool:
-        params = state.params
-        spec = self.specs[key]
-        counts = self._source_counts.get(key)
-        bin_end = state.next_bin_end
-        # 0-indexed position of the closing bin on the block's lead
-        # grid; a source with stride k reports when (b + 1) % k == 0.
-        # Derived, not stored: kill-and-resume restores it for free.
-        b = int(round((bin_start - self.start) / params.bin_seconds))
-        explain = self.explain.enabled
-        rows = [] if explain else None
-        weighted = 0.0
-        contributed = False
-        for name, p_empty, noise, stride in spec.likelihoods:
-            if stride > 1 and (b + 1) % stride != 0:
-                continue  # evidence window still open; keep accumulating
-            index = self._source_index[name]
-            monitor = self._monitor_list[index]
-            window_start = bin_end - stride * params.bin_seconds
-            weight = monitor.effective_weight(window_start, bin_end)
-            count = (counts[index] if counts is not None
-                     else state.bin_count)
-            if counts is not None:
-                counts[index] = 0  # window consumed, gated or not
-            if weight <= 0.0:
-                monitor.note_gated()
-                if rows is not None:
-                    rows.append(self._explain_source_row(
-                        name, monitor, weight, count, p_empty, noise,
-                        llr=0.0, gated=True,
-                        window=(window_start, bin_end)))
-                continue
-            contributed = True
-            if name == spec.lead:
-                # The lead's likelihoods live on the (possibly hot-
-                # swapped) block state, diurnal-aware like the base
-                # detector.
-                p_empty = (state.history.empty_bin_probability_at(
-                    bin_start, params.bin_seconds)
-                    if state.history.diurnal_profile is not None
-                    else params.p_empty_up)
-                noise = params.noise_nonempty
-            contribution = weight * bin_log_likelihood_ratio(
-                count, p_empty, noise)
-            weighted += contribution
-            if rows is not None:
-                rows.append(self._explain_source_row(
-                    name, monitor, weight, count, p_empty, noise,
-                    llr=contribution, gated=False,
-                    window=(window_start, bin_end)))
-        belief = state.belief
-        if explain:
-            # The staged floats are the exact operands of the update
-            # below — re-adding the per-source ``llr`` rows reproduces
-            # ``weighted_llr`` bit-for-bit, and ``fused_posterior(
-            # prior_belief, weighted_llr, ...)`` reproduces ``belief``.
-            self._last_evidence = {
-                "sources": rows,
-                "weighted_llr": weighted,
-                "prior_belief": belief.belief,
-                "contributed": contributed,
-            }
-        if contributed:
-            posterior = fused_posterior(belief.belief, weighted,
-                                        params.prior_down,
-                                        params.prior_up_recovery)
-            belief.belief = posterior
-            if belief.is_up and posterior <= params.down_threshold:
-                belief.is_up = False
-            elif not belief.is_up and posterior >= params.up_threshold:
-                belief.is_up = True
-        # else: evidence-free bin (every reporting vantage gated, or no
-        # window closed) — freeze belief and verdict; the transition
-        # prior must not drift a healthy block down while nobody can
-        # observe it.
-        return belief.is_up
-
     # -- columnar bin close --------------------------------------------------
 
     def _cohort_signature(self, key: int,
-                          state: _StreamBlockState) -> Optional[Any]:
+                          state: _StreamBlockState) -> Any:
         """Fused cohorts additionally require a uniform roster: the
         lead source, the source order, and each source's reporting
         stride must match so the per-boundary stride arithmetic and
         weight lookups are cohort-wide."""
-        base = super()._cohort_signature(key, state)
-        if base is None:
-            return None
-        spec = self.specs.get(key)
-        if spec is None:
-            return None
-        for name, p_empty, noise, stride in spec.likelihoods:
-            if not (np.isfinite(p_empty) and np.isfinite(noise)):
-                return None  # scalar path raises per block; keep it
+        spec = self.specs[key]
         return (state.params.bin_seconds, spec.lead,
                 tuple((name, stride)
                       for name, _, _, stride in spec.likelihoods))
@@ -866,28 +770,40 @@ class FusedStreamingDetector(StreamingDetector):
                           bin_start: float, boundary: float,
                           belief: np.ndarray, was_up: np.ndarray,
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                     Optional[np.ndarray]]:
-        """Batched fused update for one boundary — the array replica of
-        :meth:`_update_belief` (same windows consumed, same weights,
-        same log-odds accumulation order)."""
+                                     Dict[int, BlockDataError],
+                                     Optional[List[Dict[str, Any]]]]:
+        """Batched fused update for one boundary.
+
+        Each source whose evidence window closes here is weighed by its
+        vantage's effective weight: a gated window (weight 0) is
+        consumed without evidence, the others add ``weight * llr`` to
+        the members' log-odds in roster order.  A member whose
+        contributing likelihoods are non-finite is rejected with the
+        first such source's values, then one with non-finite
+        parameters.  A boundary with no contributing source freezes
+        belief and verdict: the transition prior must not drift a
+        healthy block down while nobody can observe it.
+        """
         extras = cohort.extras
         bin_seconds = cohort.bin_seconds
         count = len(members)
-        # 0-indexed position of the closing bin on the lead grid;
-        # uniform across the cohort because boundary and bin width are.
+        # 0-indexed position of the closing bin on the lead grid (a
+        # source with stride k reports when (b + 1) % k == 0); uniform
+        # across the cohort because boundary and bin width are.
         b = int(round((bin_start - self.start) / bin_seconds))
         weighted = np.zeros(count)
         contributed = False
-        bad = np.zeros(count, dtype=bool)
-        consumed: List[Tuple[int, np.ndarray]] = []
+        rejected: Dict[int, BlockDataError] = {}
         gated: List[SourceMonitor] = []
+        sources: Optional[List[List[Dict[str, Any]]]] = (
+            [[] for _ in range(count)] if self.explain.enabled else None)
         for position, (name, stride) in enumerate(extras["roster"]):
             if stride > 1 and (b + 1) % stride != 0:
                 continue  # evidence window still open
             index = self._source_index[name]
             monitor = self._monitor_list[index]
-            window_start = boundary - stride * bin_seconds
-            weight = monitor.effective_weight(window_start, boundary)
+            window = (boundary - stride * bin_seconds, boundary)
+            weight = monitor.effective_weight(*window)
             counts = np.empty(count, dtype=np.int64)
             for i, (key, state) in enumerate(zip(keys, members)):
                 source_counts = self._source_counts.get(key)
@@ -896,51 +812,54 @@ class FusedStreamingDetector(StreamingDetector):
                     source_counts[index] = 0  # window consumed either way
                 else:
                     counts[i] = state.bin_count
-            consumed.append((index, counts))
             if weight <= 0.0:
                 gated.append(monitor)
-                continue
-            contributed = True
-            if name == extras["lead"]:
-                # Lead likelihoods live on the (possibly hot-swapped)
-                # block state, diurnal-aware like the base detector.
-                p_empty = diurnal_p_empty(cohort, rows, bin_start)
-                lead_bad = ~np.isfinite(p_empty)
-                if lead_bad.any():
-                    # Scalar raises BlockDataError here; those members
-                    # must take the scalar close, not a silent clamp.
-                    bad |= lead_bad
-                    p_empty = np.where(lead_bad, 0.5, p_empty)
-                noise = cohort.noise_nonempty[rows]
-            else:
                 p_empty = extras["p_empty"][position][rows]
                 noise = extras["noise"][position][rows]
-            weighted = weighted + weight * columnar_llr(counts, p_empty,
-                                                        noise)
-        if contributed:
-            bad |= ~np.isfinite(weighted)
-        fallback = int(bad.sum())
-        if fallback:
-            # The scalar close re-consumes each fallback member's
-            # source windows (and re-counts its gated windows), so put
-            # back what the batched gather took.
-            for index, counts in consumed:
-                for i in np.flatnonzero(bad).tolist():
-                    source_counts = self._source_counts.get(keys[i])
-                    if source_counts is not None:
-                        source_counts[index] = int(counts[i])
+                contribution = np.zeros(count)
+            else:
+                contributed = True
+                if name == extras["lead"]:
+                    # Lead likelihoods live on the (possibly hot-
+                    # swapped) block state, diurnal-aware like the base
+                    # detector.
+                    p_empty = diurnal_p_empty(cohort, rows, bin_start)
+                    noise = cohort.noise_nonempty[rows]
+                else:
+                    p_empty = extras["p_empty"][position][rows]
+                    noise = extras["noise"][position][rows]
+                finite = np.isfinite(p_empty) & np.isfinite(noise)
+                for i in np.flatnonzero(~finite).tolist():
+                    rejected.setdefault(i, BlockDataError(
+                        f"non-finite likelihood parameters (p_empty_up="
+                        f"{float(p_empty[i])!r}, noise_nonempty="
+                        f"{float(noise[i])!r}): source model is poisoned"))
+                contribution = weight * columnar_llr(counts, p_empty, noise)
+                weighted = weighted + contribution
+            if sources is not None:
+                for rows_i, count_i, p_i, noise_i, llr_i in zip(
+                        sources, counts.tolist(), p_empty.tolist(),
+                        noise.tolist(), contribution.tolist()):
+                    rows_i.append(self._explain_source_row(
+                        name, monitor, weight, count_i, p_i, noise_i,
+                        llr=llr_i, gated=weight <= 0.0, window=window))
+        self._reject_parameters(cohort, rows, rejected)
         for monitor in gated:
-            monitor.note_gated(count - fallback)
+            monitor.note_gated(count - len(rejected))
         trips = np.zeros(count, dtype=np.int64)  # fused path never trips
+        evidence = None
+        if sources is not None:
+            evidence = [{"sources": rows_i, "weighted_llr": llr,
+                         "prior_belief": prior, "contributed": contributed}
+                        for rows_i, llr, prior in zip(
+                            sources, weighted.tolist(), belief.tolist())]
         if not contributed:
-            # Evidence-free boundary: freeze belief and verdict.
-            return belief.copy(), was_up.copy(), trips, None
-        weighted = np.where(bad, 0.0, weighted)
+            return belief.copy(), was_up.copy(), trips, rejected, evidence
         posterior, new_up = columnar_fused_posterior(
             belief, was_up, weighted, cohort.prior_down[rows],
             cohort.prior_up_recovery[rows], cohort.down_threshold[rows],
             cohort.up_threshold[rows])
-        return posterior, new_up, trips, bad if fallback else None
+        return posterior, new_up, trips, rejected, evidence
 
     @staticmethod
     def _explain_source_row(name: str, monitor: SourceMonitor,

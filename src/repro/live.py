@@ -240,9 +240,9 @@ class LiveBlockEngine:
                 drift_factor=drift.drift_factor,
                 min_arrivals=drift.min_arrivals)
         # Advance cadence: a stream-time grid on which the engine calls
-        # ``detector.advance`` so simultaneous bin closes take the
-        # columnar batched path instead of trickling out one block at a
-        # time through per-packet catch-up.  ``None`` auto-derives the
+        # ``detector.advance`` so simultaneous bin closes batch into one
+        # cohort update instead of trickling out as one-row closes
+        # through per-packet catch-up.  ``None`` auto-derives the
         # finest tuned bin (every block boundary lands on a multiple of
         # it under the planner's ladder); pass ``<= 0`` to disable.
         # Partition workers receive the cadence explicitly from the

@@ -77,6 +77,11 @@ __all__ = ["ServeConfig", "ServingPlane"]
 
 _JSON = "application/json"
 
+#: seconds a ``/health`` request waits for the run's health provider,
+#: which runs off the loop thread; past it the plane answers 503 with
+#: ``"provider": "timeout"``.
+HEALTH_PROVIDER_TIMEOUT_S = 2.0
+
 
 @dataclass
 class ServeConfig:
@@ -159,6 +164,12 @@ class ServingPlane:
         self._subs: Dict[int, _Subscription] = {}
         self._next_sub_id = 0
         self._connections = 0
+        #: HTTP requests between read and response (graceful stop waits
+        #: for them up to ``drain_s``).
+        self._inflight = 0
+        #: the health-provider call in flight, shared by concurrent
+        #: ``/health`` requests so a wedged provider holds one thread.
+        self._provider_call: Optional[asyncio.Future] = None
         self._evictions = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -232,8 +243,9 @@ class ServingPlane:
         Draining closes the listener first (no new work), flushes every
         subscriber's outbox, and sends a 1001 going-away close frame —
         the SIGTERM path an operator's rolling restart relies on.  A
-        loop wedged in a request (a ``/health`` provider that never
-        returns) holds this call for ``drain_s + 5`` seconds at most.
+        request still in flight after ``drain_s`` is cut off; a
+        ``/health`` provider that never returns runs on its own daemon
+        thread, which this call never joins.
         """
         thread = self._thread
         if thread is None:
@@ -279,7 +291,8 @@ class ServingPlane:
                 if sub.wake is not None:
                     sub.wake.set()
             deadline = time.monotonic() + self.config.drain_s
-            while self._subs and time.monotonic() < deadline:
+            while ((self._subs or self._inflight)
+                   and time.monotonic() < deadline):
                 await asyncio.sleep(0.02)
         for sub in list(self._subs.values()):
             self._drop_subscription(sub)
@@ -423,11 +436,20 @@ class ServingPlane:
                     await self._handle_subscribe(reader, writer, headers,
                                                  params)
                     return
-                status, body, ctype, extra = self._dispatch(path, params)
                 keep = (headers.get("connection", "").lower() != "close")
-                self._write_response(writer, status, body, ctype,
-                                     keep=keep, extra=extra)
-                await writer.drain()
+                self._inflight += 1
+                try:
+                    if path == "/health":
+                        status, body, ctype, extra = (
+                            await self._handle_health())
+                    else:
+                        status, body, ctype, extra = self._dispatch(
+                            path, params)
+                    self._write_response(writer, status, body, ctype,
+                                         keep=keep, extra=extra)
+                    await writer.drain()
+                finally:
+                    self._inflight -= 1
                 if not keep:
                     return
         except (asyncio.IncompleteReadError, asyncio.TimeoutError,
@@ -502,9 +524,6 @@ class ServingPlane:
             self._m_requests.labels(endpoint=path, outcome="ok").inc()
             return (200, json.dumps(self.registry.snapshot(),
                                     indent=1).encode("utf-8"), _JSON, {})
-        if path == "/health":
-            self._m_requests.labels(endpoint=path, outcome="ok").inc()
-            return 200, self._json_body(self._health_document()), _JSON, {}
         if path == "/ready":
             return self._handle_ready()
         if path == "/v1/state":
@@ -528,9 +547,24 @@ class ServingPlane:
                            "/metrics.json", "/trace", "/events"]}),
                 _JSON, {})
 
-    def _health_document(self) -> Dict[str, Any]:
-        base = (self.health_provider() if self.health_provider is not None
-                else {"status": "alive", "run": None})
+    async def _handle_health(self) -> Tuple[int, bytes, str,
+                                            Dict[str, str]]:
+        """``/health``: the run's provider document plus the plane's
+        own section.  The provider runs on a daemon thread, so a slow
+        or wedged one never stalls the loop; past
+        :data:`HEALTH_PROVIDER_TIMEOUT_S` the answer is 503."""
+        status, outcome = 200, "ok"
+        if self.health_provider is None:
+            base: Dict[str, Any] = {"status": "alive", "run": None}
+        else:
+            try:
+                base = dict(await asyncio.wait_for(
+                    asyncio.shield(self._call_provider()),
+                    HEALTH_PROVIDER_TIMEOUT_S))
+            except asyncio.TimeoutError:
+                status, outcome = 503, "timeout"
+                base = {"status": "unknown", "provider": "timeout"}
+        self._m_requests.labels(endpoint="/health", outcome=outcome).inc()
         snapshot = self._snapshot
         base["plane"] = {
             "subscribers": len(self._subs),
@@ -541,7 +575,36 @@ class ServingPlane:
             "watermark": snapshot.watermark if snapshot else None,
             "last_event_seq": self._broker.last_seq,
         }
-        return base
+        return status, self._json_body(base), _JSON, {}
+
+    def _call_provider(self) -> "asyncio.Future[Dict[str, Any]]":
+        """The in-flight provider call, starting one if none is."""
+        call = self._provider_call
+        if call is not None and not call.done():
+            return call
+        loop = asyncio.get_running_loop()
+        call = self._provider_call = loop.create_future()
+        provider = self.health_provider
+
+        def settle(result: Any, error: Optional[BaseException]) -> None:
+            if call.done():
+                return
+            if error is None:
+                call.set_result(result)
+            else:
+                call.set_exception(error)
+
+        def run() -> None:
+            try:
+                result, error = provider(), None
+            except Exception as failure:  # noqa: BLE001 — raised on the loop
+                result, error = None, failure
+            with contextlib.suppress(RuntimeError):  # loop already closed
+                loop.call_soon_threadsafe(settle, result, error)
+
+        threading.Thread(target=run, name="serve-health-provider",
+                         daemon=True).start()
+        return call
 
     def _handle_ready(self) -> Tuple[int, bytes, str, Dict[str, str]]:
         ready, reasons = self.config.ready.evaluate(self._snapshot,

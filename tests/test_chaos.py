@@ -16,12 +16,15 @@ The fault-containment contract of this PR, pinned end to end:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.detector import StreamingDetector
 from repro.core.health import ErrorBudgetExceeded
 from repro.core.pipeline import PassiveOutagePipeline
+from repro.fusion import FusedModel, FusedStreamingDetector
 from repro.net.addr import Family
 from repro.telescope.records import Observation
 from repro.telescope.reorder import ReorderBuffer
@@ -36,6 +39,9 @@ pytestmark = pytest.mark.faults
 
 DAY = 86400.0
 N_BLOCKS = 20
+#: the advance grid of the drive-mode cases, as ``LiveBlockEngine``
+#: steps it.
+ADVANCE_GRID = 300.0
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +185,58 @@ class TestStreamingContainment:
         assert health is not None
         assert health.accounts_for(keys)
         assert not health.budget_tripped
+
+    @staticmethod
+    def detector(kind, model, parameters):
+        """A single-source or one-vantage fused detector over ``model``
+        with its parameters replaced by ``parameters``."""
+        if kind == "single":
+            return StreamingDetector(model.family, model.histories,
+                                     parameters, DAY)
+        fused = FusedModel(model.family, {
+            "dns": dataclasses.replace(model, parameters=parameters)})
+        return FusedStreamingDetector(fused, DAY)
+
+    @staticmethod
+    def drive(detector, rows, grid):
+        """Feed ``rows``; with a ``grid``, advance to each grid point a
+        row reaches before observing it, as ``LiveBlockEngine`` does
+        (otherwise bins close only by packet catch-up)."""
+        next_advance = DAY + grid if grid else None
+        for row in rows:
+            while next_advance is not None and row.time >= next_advance:
+                detector.advance(next_advance)
+                next_advance += grid
+            detector.observe(row)
+        return detector.finalize(2 * DAY)
+
+    @pytest.mark.parametrize("kind", ["single", "fused"])
+    @pytest.mark.parametrize("grid", [None, ADVANCE_GRID],
+                             ids=["observe", "advance"])
+    @pytest.mark.parametrize("field", ["noise_nonempty", "prior_down",
+                                       "prior_up_recovery"])
+    def test_poisoned_field_dead_letters_victim_in_every_drive(
+            self, population, kind, grid, field):
+        """Whichever way bins close, a non-finite model field
+        dead-letters exactly its block; survivors match a clean run."""
+        _, model, _, evaluate = population
+        keys = model.measurable_keys
+        victims = keys[:1]
+        rows = self.rows(evaluate, keys)
+        clean = self.drive(self.detector(kind, model, model.parameters),
+                           rows, grid)
+        corrupt = degenerate_parameters(model.parameters, victims, field,
+                                        float("nan"))
+        detector = self.detector(kind, model, corrupt)
+        results = self.drive(detector, rows, grid)
+        assert detector.dead_letters.keys() == victims
+        (entry,) = detector.dead_letters.entries
+        assert entry.error_type == "BlockDataError"
+        survivors = sorted(set(keys) - set(victims))
+        assert sorted(results) == survivors
+        for key in survivors:
+            assert results[key].timeline == clean[key].timeline
+        assert detector.last_health.accounts_for(keys)
 
     def test_streaming_budget_trips_with_health_published(self, population):
         _, model, _, evaluate = population

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import (EXIT_BUDGET_TRIPPED, EXIT_DEGRADED_COVERAGE,
                        build_parser, main)
+from repro.obs.explain import read_explain_jsonl
 from repro.telescope.capture import read_batches
 
 DATA = Path(__file__).parent / "data"
@@ -907,6 +908,23 @@ class TestGoldenTranscript:
         assert self.run(capsys, drive, [
             "serve", str(capture), "--model", str(model), "--port", "0",
             "--linger-s", "0"]) == (0, RECORDS.format(resume=""))
+
+    def test_live_explain_out_prints_the_same_events(self, capsys, drive):
+        """Decision provenance rides the same bin close: turning it on
+        changes nothing but the log it writes."""
+        root, capture, model = drive
+        plain = self.run(capsys, drive, [
+            "live", str(capture), "--model", str(model)])
+        explained = self.run(capsys, drive, [
+            "live", str(capture), "--model", str(model),
+            "--explain-out", str(root / "explain.jsonl")])
+        assert plain[0] == explained[0] == 0
+        assert LIVE_EVENTS in plain[1]
+        assert explained[1] == (
+            plain[1] + "explain log written to <dir>/explain.jsonl\n")
+        events = read_explain_jsonl(str(root / "explain.jsonl"))
+        assert {event["event"] for event in events} >= {
+            "transition", "onset", "recovery"}
 
 
 DETECT_EVENTS = (

@@ -19,10 +19,15 @@ Pinned here:
 * ``bin_log_likelihood_ratio``/``fused_posterior`` ≡ their columnar
   forms, and the batch ``fused_belief_pass`` ≡ a per-block loop over
   them, freeze on gated bins included;
-* whole-detector runs (base and fused) with hot swaps, quarantine,
-  and checkpoint kill-and-resume producing byte-identical state;
+* whole-detector runs (base and fused) of the production engine
+  against the block-at-a-time scalar detectors of
+  :mod:`tests.scalar_oracle`, with hot swaps, quarantine, and
+  checkpoint kill-and-resume producing byte-identical state;
 * scalar↔columnar checkpoint compatibility in both directions,
   including mid-quarantine and pending-swap state;
+* a poisoned history dead-lettered by the close screen with the
+  scalar path's exact entry, and a malformed profile dead-lettered
+  without disturbing its cohort;
 * ``ParameterPlanner.plan_batch`` ≡ per-block ``plan_block``; and the
   tune-stage timer counting only successful fits.
 """
@@ -46,8 +51,12 @@ from repro.core.belief import (
     fused_belief_pass,
     fused_posterior,
 )
-from repro.core.checkpoint import detector_from_json, detector_to_json
-from repro.core.columnar import history_is_clean
+from repro.core.checkpoint import (
+    apply_checkpoint_state,
+    detector_from_json,
+    detector_to_json,
+    parse_checkpoint_document,
+)
 from repro.core.detector import StreamingDetector
 from repro.core.history import train_history
 from repro.core.parameters import BlockParameters, ParameterPlanner
@@ -56,6 +65,10 @@ from repro.net.addr import Family
 from repro.obs.metrics import MetricsRegistry
 from repro.telescope.records import Observation
 from repro.traffic.sources import poisson_times, suppress_intervals
+from tests.scalar_oracle import (
+    ScalarFusedStreamingDetector,
+    ScalarStreamingDetector,
+)
 
 DAY = 86400.0
 
@@ -292,6 +305,10 @@ def _drive(detector, evaluate, seed, swap=None, end=2 * DAY):
     detector.advance(end)
 
 
+#: the detector class each side of a comparison runs, by ``columnar``.
+_ENGINES = {False: ScalarStreamingDetector, True: StreamingDetector}
+
+
 def _state_fingerprint(detector):
     return {
         key: (state.belief.belief, state.belief.is_up,
@@ -312,9 +329,8 @@ class TestDetectorEquivalence:
         histories, parameters, evaluate = world
         results = {}
         for columnar in (False, True):
-            detector = StreamingDetector(Family.IPV4, histories,
-                                         parameters, DAY,
-                                         columnar=columnar)
+            detector = _ENGINES[columnar](Family.IPV4, histories,
+                                          parameters, DAY)
             _drive(detector, evaluate, seed=9)
             results[columnar] = (
                 _state_fingerprint(detector),
@@ -338,9 +354,8 @@ class TestDetectorEquivalence:
                 for key in swap_keys if parameters[key].measurable]
         fingerprints = {}
         for columnar in (False, True):
-            detector = StreamingDetector(Family.IPV4, histories,
-                                         parameters, DAY,
-                                         columnar=columnar)
+            detector = _ENGINES[columnar](Family.IPV4, histories,
+                                          parameters, DAY)
             _drive(detector, evaluate, seed=13, swap=swap)
             fingerprints[columnar] = (_state_fingerprint(detector),
                                       detector_to_json(detector))
@@ -353,15 +368,20 @@ class TestDetectorEquivalence:
         histories, parameters, evaluate = world
         finals = {}
         for columnar in (False, True):
-            detector = StreamingDetector(Family.IPV4, histories,
-                                         parameters, DAY,
-                                         columnar=columnar)
+            detector = _ENGINES[columnar](Family.IPV4, histories,
+                                          parameters, DAY)
             _drive(detector, evaluate, seed=21, end=DAY + 40000.0)
             snapshot = detector_to_json(detector)
-            resumed = detector_from_json(snapshot, histories, parameters)
             # Cross the engines: a scalar checkpoint resumes columnar
             # and vice versa.
-            resumed.columnar = not columnar
+            if columnar:
+                resumed = ScalarStreamingDetector(Family.IPV4, histories,
+                                                  parameters, DAY)
+                apply_checkpoint_state(resumed,
+                                       parse_checkpoint_document(snapshot))
+            else:
+                resumed = detector_from_json(snapshot, histories,
+                                             parameters)
             tail = {key: [t for t in times
                           if t > resumed.last_time]
                     for key, times in evaluate.items()}
@@ -383,9 +403,8 @@ class TestDetectorEquivalence:
             # Each engine gets its own copy: the poison below mutates
             # history objects in place.
             histories = copy.deepcopy(shared_histories)
-            detector = StreamingDetector(Family.IPV4, histories,
-                                         parameters, DAY,
-                                         columnar=columnar)
+            detector = _ENGINES[columnar](Family.IPV4, histories,
+                                          parameters, DAY)
             _drive(detector, evaluate, seed=31, end=DAY + 30000.0)
             # Poison one block so its next close quarantines it (a
             # diurnal profile routes the NaN summary into the
@@ -405,22 +424,48 @@ class TestDetectorEquivalence:
         assert documents[False] == documents[True]
         assert documents[True]["pending_swaps"] is not None
 
-    def test_unclean_history_is_excluded_from_cohorts(self, world):
-        shared_histories, parameters, _ = world
-        histories = copy.deepcopy(shared_histories)
+    def test_unclean_history_is_dead_lettered_at_close(self, world):
+        """A history whose likelihood comes out non-finite is screened
+        at its first close and dead-lettered with the scalar oracle's
+        exact entry; the rest of the cohort closes without it."""
+        entries = {}
+        for columnar in (False, True):
+            histories = copy.deepcopy(world[0])
+            parameters = world[1]
+            key = next(k for k in histories if parameters[k].measurable)
+            detector = _ENGINES[columnar](Family.IPV4, histories,
+                                          parameters, DAY)
+            state = detector._states[key]
+            state.history.diurnal_profile = np.ones(24)
+            state.history.mean_rate = float("nan")
+            detector.advance(DAY + 7200.0)
+            assert detector.dead_letters.keys() == [key]
+            entries[columnar] = (detector.dead_letters.entries,
+                                 _state_fingerprint(detector))
+        assert entries[False] == entries[True]
+        (entry,), _ = entries[True]
+        assert entry.error_type == "BlockDataError"
+        assert entry.error.startswith("non-finite p_empty_up nan")
+
+    def test_malformed_profile_is_dead_lettered_at_close(self, world):
+        """A profile that is not 24 numbers lays out as NaN factors, so
+        the close screen dead-letters its block and the rest of the
+        cohort closes exactly as in a clean run."""
+        histories, parameters, _ = world
+        clean = StreamingDetector(Family.IPV4, histories, parameters, DAY)
+        clean.advance(DAY + 7200.0)
+        histories = copy.deepcopy(histories)
         key = next(k for k in histories if parameters[k].measurable)
+        histories[key].diurnal_profile = np.ones(23)
         detector = StreamingDetector(Family.IPV4, histories, parameters,
-                                     DAY, columnar=True)
-        state = detector._states[key]
-        assert history_is_clean(state.history)
-        state.history.diurnal_profile = np.ones(24)
-        state.history.mean_rate = float("nan")
-        assert not history_is_clean(state.history)
-        detector._invalidate_cohorts()
+                                     DAY)
         detector.advance(DAY + 7200.0)
-        # The poisoned member was processed scalar and quarantined with
-        # the scalar path's exact dead-letter entry.
-        assert key in detector.dead_letters.keys()
+        (entry,) = detector.dead_letters.entries
+        assert (entry.block_key, entry.error_type) == (key,
+                                                       "BlockDataError")
+        survivors = _state_fingerprint(clean)
+        del survivors[key]
+        assert _state_fingerprint(detector) == survivors
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +511,10 @@ class TestFusedEquivalence:
         events.sort()
 
         results = {}
+        engines = {False: ScalarFusedStreamingDetector,
+                   True: FusedStreamingDetector}
         for columnar in (False, True):
-            detector = FusedStreamingDetector(model, eval_start,
-                                              columnar=columnar)
+            detector = engines[columnar](model, eval_start)
             rng = random.Random(5)
             i = 0
             t = eval_start

@@ -161,3 +161,32 @@ class TestImportHealth:
             env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True, text=True, check=True)
         assert loaded.stdout.strip() == "[]"
+
+    def test_scalar_belief_oracles_have_no_caller_outside_belief(self):
+        """Every streaming bin closes through the cohort kernels: the
+        scalar recurrence (``BeliefState.update``,
+        ``bin_log_likelihood_ratio``, ``fused_posterior``) is the
+        kernels' oracle, called from ``core/belief.py`` and the tests
+        only, so no second close path grows back in ``src/``."""
+        oracles = {"bin_log_likelihood_ratio", "fused_posterior"}
+        callers = []
+        for module, path in iter_modules().items():
+            if module == "repro.core.belief":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                belief_update = (
+                    name == "update" and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "belief")
+                if name in oracles or belief_update:
+                    callers.append(f"{module}:{node.lineno}")
+        assert callers == [], (
+            "scalar belief oracles called outside core/belief.py: "
+            + ", ".join(callers))

@@ -277,6 +277,55 @@ class TestGracefulDrain:
         assert entered.wait(timeout=10)
         began = time.monotonic()
         server.stop()
-        assert time.monotonic() - began < 10.0
+        assert time.monotonic() - began < server.config.drain_s + 1.0
         release.set()
         scraper.join(timeout=10)
+
+    def test_wedged_health_provider_leaves_other_endpoints_answering(
+            self):
+        """The provider runs off the loop thread: while it is wedged,
+        ``/v1/state`` and ``/metrics`` answer within a second, ``/health``
+        answers 503 past its deadline, and stop() does not wait for the
+        provider."""
+        from repro.serve.plane import HEALTH_PROVIDER_TIMEOUT_S
+
+        entered = threading.Event()
+        release = threading.Event()
+
+        def wedged_health():
+            entered.set()
+            release.wait(timeout=30)
+            return {"status": "late", "run": None}
+
+        server = ServingPlane(config=ServeConfig(port=0, drain_s=0.3),
+                              health_provider=wedged_health).start()
+        result = {}
+
+        def scrape():
+            try:
+                fetch(server, "/health")
+            except urllib.error.HTTPError as error:
+                result["status"] = error.code
+                result["body"] = json.loads(error.read().decode())
+
+        scraper = threading.Thread(target=scrape, daemon=True)
+        try:
+            scraper.start()
+            assert entered.wait(timeout=10)
+            for path in ("/v1/state?address=10.0.0.1", "/metrics"):
+                began = time.monotonic()
+                try:
+                    fetch(server, path)
+                except urllib.error.HTTPError:
+                    pass  # no snapshot published yet: 503 is an answer
+                assert time.monotonic() - began < 1.0, path
+            scraper.join(timeout=HEALTH_PROVIDER_TIMEOUT_S + 5)
+            assert result["status"] == 503
+            assert result["body"]["provider"] == "timeout"
+            assert "plane" in result["body"]
+            began = time.monotonic()
+            server.stop()
+            assert time.monotonic() - began < server.config.drain_s + 1.0
+        finally:
+            release.set()
+            server.stop()
