@@ -118,6 +118,8 @@ def test_bench_streaming_detector(benchmark):
 #: a boundary must cut streaming bin-close wall time (and the batched
 #: tune stage) by at least this factor on the weeklong synthetic.
 BELIEF_SPEEDUP_FLOOR = 5.0
+#: best-of-N runs per side for the bin-close gate.
+BIN_CLOSE_REPEATS = 3
 WEEK = 7 * 86400.0
 GRID_SECONDS = 300.0
 #: tuned bin ladder (all multiples of the drive grid, so every close
@@ -233,10 +235,16 @@ def test_bench_columnar_bin_close_speedup(belief_population):
     from tests.scalar_oracle import ScalarStreamingDetector
 
     histories, parameters, observations = belief_population
-    scalar_wall, scalar_det = _timed_streaming_run(
-        histories, parameters, observations, ScalarStreamingDetector)
-    columnar_wall, columnar_det = _timed_streaming_run(
-        histories, parameters, observations, StreamingDetector)
+    # Best-of-N on both sides, as in the tune gate below: one run per
+    # side left the 5x floor about 10% from host noise on 2 vCPUs.
+    scalar_wall = columnar_wall = float("inf")
+    for _ in range(BIN_CLOSE_REPEATS):
+        wall, scalar_det = _timed_streaming_run(
+            histories, parameters, observations, ScalarStreamingDetector)
+        scalar_wall = min(scalar_wall, wall)
+        wall, columnar_det = _timed_streaming_run(
+            histories, parameters, observations, StreamingDetector)
+        columnar_wall = min(columnar_wall, wall)
 
     assert detector_to_json(scalar_det) == detector_to_json(columnar_det)
     assert scalar_det.windows_closed == columnar_det.windows_closed

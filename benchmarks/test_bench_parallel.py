@@ -5,15 +5,18 @@ Not a paper artefact — this pins the performance contract of the
 detecting a synthetic weeklong population with ``workers=4`` must beat
 the identical sharded run at ``workers=1`` by at least 1.5x.  Both
 sides execute the *same* shard plan (same chunk size over the same
-sorted keyspace), so the comparison isolates the process pool itself:
-pickling payloads out, spawning workers, and folding shard documents
-back in.  The equivalence contract (bit-for-bit identical output) is
-pinned separately by ``tests/test_parallel.py``; this file asserts the
-parallelism is worth its overhead.
+sorted keyspace) under the same ``ShardSupervisor``, one child process
+per shard attempt, so the comparison isolates what running four
+supervised children at once buys over running them one at a time:
+pickling payloads out, forking children from the preloaded
+forkserver, and folding shard documents back in.  The equivalence
+contract (bit-for-bit identical output) is pinned separately by
+``tests/test_parallel.py``; this file asserts the parallelism is worth
+its overhead.
 
 On hosts with fewer than four CPUs the speedup assertion is skipped —
-a spawn pool cannot beat in-process execution without spare cores —
-but the timings are still printed and written to the artefact, so a
+four children cannot beat one at a time without spare cores — but the
+timings are still printed and written to the artefact, so a
 constrained runner still documents what it measured.
 
 ``pytest benchmarks/test_bench_parallel.py -s`` prints the measured
@@ -34,7 +37,7 @@ WEEK = 7 * 86400.0
 N_BLOCKS = 1536
 SHARD_CHUNK = 48          # 32 shards: divides evenly across 4 workers
 POOL_WORKERS = 4
-REPEATS = 2               # best-of-N; spawn cost is paid on every run
+REPEATS = 2               # best-of-N; child start cost is paid on every run
 MIN_SPEEDUP = 1.5
 
 
@@ -48,9 +51,9 @@ def weeklong():
     """A trained model plus one simulated week of traffic to detect on.
 
     1,536 blocks with rates cycling over a decade — enough belief-pass
-    and event-refinement work per shard that the pool's spawn cost is
-    noise against the compute, as it would be against a real telescope
-    day.
+    and event-refinement work per shard that the per-child start cost
+    is noise against the compute, as it would be against a real
+    telescope day.
     """
     rng = np.random.default_rng(23)
     per_block = {k << 8: poisson_times(rng, 0.01 + 0.0005 * (k % 96),
@@ -80,7 +83,8 @@ def test_four_workers_beat_one_by_1_5x(weeklong):
     single_s, single = timed_detect(model, per_block, 1)
     pooled_s, pooled = timed_detect(model, per_block, POOL_WORKERS)
 
-    # Same plan, same verdicts: the pool changed nothing but the clock.
+    # Same plan, same verdicts: the worker count changed nothing but
+    # the clock.
     assert pooled.blocks.keys() == single.blocks.keys()
     for key in single.blocks:
         assert pooled.blocks[key].timeline == single.blocks[key].timeline
@@ -107,9 +111,9 @@ def test_four_workers_beat_one_by_1_5x(weeklong):
             handle.write("\n")
 
     if cores < POOL_WORKERS:
-        pytest.skip(f"{cores} CPU(s): a {POOL_WORKERS}-worker pool cannot "
-                    f"beat in-process execution without spare cores")
+        pytest.skip(f"{cores} CPU(s): {POOL_WORKERS} workers cannot "
+                    f"beat one at a time without spare cores")
     assert speedup >= MIN_SPEEDUP, (
         f"4-worker detect ran {pooled_s:.2f}s vs {single_s:.2f}s "
         f"single-worker ({speedup:.2f}x, need {MIN_SPEEDUP}x); "
-        f"the shard pool no longer pays for its overhead")
+        f"sharding no longer pays for its overhead")

@@ -384,19 +384,10 @@ def load_checkpoint_rotated(path: PathLike, model: "TrainedModel",
     raise FileNotFoundError(base)
 
 
-def _unit_name(unit: Union[int, str]) -> str:
-    """Canonical file-name stem of one execution unit.
-
-    Plain shard indices render as ``00003``; supervised bisection
-    lineage ids (``"00003.0.1"``) pass through unchanged, so a root
-    unit and its legacy-written shard file share a name.
-    """
-    return unit if isinstance(unit, str) else f"{unit:05d}"
-
-
-def _shard_path(directory: PathLike, unit: Union[int, str]) -> str:
-    return os.path.join(os.fspath(directory),
-                        f"shard-{_unit_name(unit)}.json")
+def _shard_path(directory: PathLike, unit: str) -> str:
+    """Cached document of one execution unit, named by its lineage id
+    (``shard-00003.json``, ``shard-00003.0.1.json``)."""
+    return os.path.join(os.fspath(directory), f"shard-{unit}.json")
 
 
 def write_shard_manifest(directory: PathLike,
@@ -434,7 +425,7 @@ def read_shard_manifest(directory: PathLike) -> Optional[Dict[str, Any]]:
     return document
 
 
-def save_shard_result(directory: PathLike, index: Union[int, str],
+def save_shard_result(directory: PathLike, unit: str,
                       document: Dict[str, Any]) -> None:
     """Atomically persist one completed shard's result document.
 
@@ -444,11 +435,11 @@ def save_shard_result(directory: PathLike, index: Union[int, str],
     otherwise poison the resume that is supposed to rescue the run.
     """
     os.makedirs(os.fspath(directory), exist_ok=True)
-    atomic_write_text(_shard_path(directory, index),
+    atomic_write_text(_shard_path(directory, unit),
                       json.dumps(document, indent=1))
 
 
-def load_shard_document(directory: PathLike, unit: Union[int, str],
+def load_shard_document(directory: PathLike, unit: str,
                         ) -> "tuple[str, Optional[Dict[str, Any]]]":
     """One cached shard document with its read status.
 
@@ -474,8 +465,7 @@ def load_shard_document(directory: PathLike, unit: Union[int, str],
     return "ok", document
 
 
-def discard_shard_result(directory: PathLike,
-                         unit: Union[int, str]) -> None:
+def discard_shard_result(directory: PathLike, unit: str) -> None:
     """Best-effort removal of one cached shard file (corrupt/stale)."""
     try:
         os.remove(_shard_path(directory, unit))

@@ -556,10 +556,10 @@ class RunHealthReport:
     sentinel_windows: List[Tuple[float, float]] = field(default_factory=list)
     max_quarantine_frac: float = 1.0
     budget_tripped: bool = False
-    #: supervised-run delivery accounting; None for unsupervised runs
+    #: delivery accounting of a sharded or partitioned run, whose
+    #: workers are always supervised; None for single-process runs
     #: (the key is omitted from the serialised document entirely, so
-    #: reports from unsupervised runs are byte-identical to older
-    #: builds).
+    #: those reports are byte-identical to older builds).
     coverage: Optional[CoverageReport] = None
     #: per-vantage accounting for fused runs, keyed by source name;
     #: empty for single-source runs (and omitted from the serialised
@@ -730,7 +730,7 @@ class RunHealthReport:
 def fold_lost_coverage(report: RunHealthReport, stage_name: str,
                        planned: int,
                        lost_errors: Dict[int, BaseException],
-                       records: Optional[List[ShardAttemptRecord]],
+                       records: List[ShardAttemptRecord],
                        metrics: Any = None) -> None:
     """Fold supervised-run delivery accounting into a merged report.
 
@@ -748,12 +748,9 @@ def fold_lost_coverage(report: RunHealthReport, stage_name: str,
 
     ``lost_errors`` maps each undelivered block key to the supervision
     error that condemned it.  ``records`` is the per-unit attempt
-    history; ``None`` means the run was not supervised and the report
-    is left untouched.  ``metrics`` (optional — health may not import
-    obs) receives a ``supervision_lost_blocks`` gauge.
+    history.  ``metrics`` (optional — health may not import obs)
+    receives a ``supervision_lost_blocks`` gauge.
     """
-    if records is None:
-        return
     lost_set = set(lost_errors)
     stage = report.stage(stage_name)
     stage.attempted += len(lost_set)

@@ -154,8 +154,8 @@ class PassiveOutagePipeline:
     workers:
         when >= 1, train/detect run through the sharded parallel path
         (:mod:`repro.parallel`): the keyspace splits into deterministic
-        chunks, each chunk runs in a worker (in-process for 1 worker, a
-        spawn-safe process pool above that), and results merge
+        chunks, each chunk attempt runs in its own supervised child
+        process, at most ``workers`` at a time, and results merge
         bit-for-bit identical to the sequential path.  0 forces the
         sequential path; None (the default) defers to the process-wide
         default set by :func:`repro.parallel.set_default_parallelism`.
@@ -166,13 +166,13 @@ class PassiveOutagePipeline:
         when set, the parallel path checkpoints each completed shard
         there, so a killed run resumes recomputing only missing shards.
     supervision:
-        a :class:`~repro.parallel.SupervisionPolicy` (or None).  When
-        set, the parallel path runs every shard attempt in its own
-        supervised child process with a wall-clock deadline and RSS
-        ceiling, retries transient crash/hang/OOM failures, and bisects
-        poisoned shards down to per-block dead letters instead of dying
-        wholesale — see :class:`~repro.parallel.ShardSupervisor`.
-        Ignored by the sequential path (``workers=0``).
+        the :class:`~repro.parallel.SupervisionPolicy` the parallel
+        path's :class:`~repro.parallel.ShardSupervisor` applies: each
+        attempt's wall-clock deadline and RSS ceiling, and how
+        transient crash/hang/OOM failures are retried before a shard
+        is bisected down to per-block dead letters.  None uses the
+        default policy.  Ignored by the sequential path
+        (``workers=0``).
     """
 
     def __init__(

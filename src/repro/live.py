@@ -547,13 +547,6 @@ def _live_worker_entry(payload: Dict[str, Any], conn: Any) -> None:
         metrics_seq = 0
         metrics_baseline: Optional[Dict[str, Any]] = None
         explain_sent = 0
-        # Serving-plane piggyback: per-block transition rows shipped in
-        # heartbeats under the same at-least-once contract as metrics.
-        # ``shipped`` counts per-incarnation; after a restart the full
-        # checkpointed history re-ships and the parent-side consumer
-        # applies it idempotently (strictly increasing time per block).
-        ship_transitions = bool(payload.get("ship_transitions"))
-        shipped_transitions: Dict[int, int] = {}
         family = Family(payload["family"])
         start = float(payload["start"])
         checkpoint_path = payload.get("checkpoint")
@@ -715,11 +708,6 @@ def _live_worker_entry(payload: Dict[str, Any], conn: Any) -> None:
                     heartbeat["metrics_delta"] = diff_snapshots(
                         current, metrics_baseline)
                     metrics_baseline = current
-                if ship_transitions:
-                    from .serve.bridge import fresh_transitions
-                    rows = fresh_transitions(detector, shipped_transitions)
-                    if rows:
-                        heartbeat["transitions"] = rows
                 if explain.enabled:
                     fresh = explain.events_since(explain_sent)
                     if fresh:
@@ -759,11 +747,6 @@ def _live_worker_entry(payload: Dict[str, Any], conn: Any) -> None:
                     document["metrics_seq"] = metrics_seq
                     document["metrics_delta"] = diff_snapshots(
                         document["metrics"], metrics_baseline)
-                if ship_transitions:
-                    from .serve.bridge import fresh_transitions
-                    rows = fresh_transitions(detector, shipped_transitions)
-                    if rows:
-                        document["transitions"] = rows
                 if tracer.enabled:
                     document["spans"] = tracer.export_spans()
                 if explain.enabled:
@@ -888,8 +871,8 @@ class LiveStatus:
 
     :meth:`LivePartitionSupervisor.live_status` returns one; both the
     on-disk manifest and the ``/health`` document are derived from it,
-    so an in-process consumer (the serving plane's bridge, a test)
-    reads exactly what an external observer reads — agreement by
+    so an in-process consumer (a test, an embedding program) reads
+    exactly what an external observer reads — agreement by
     construction, not by parallel bookkeeping.
     """
 
@@ -972,9 +955,6 @@ class LivePartitionSupervisor:
         stop_requested: Optional[Callable[[], bool]] = None,
         status: Optional[Callable[[str], None]] = None,
         batch_rows: int = _BATCH_ROWS,
-        on_transitions: Optional[
-            Callable[[List[Tuple[int, float, bool]]], None]] = None,
-        on_service: Optional[Callable[[], None]] = None,
     ) -> None:
         if partitions is not None and partitions <= 0:
             raise ValueError("partitions must be positive")
@@ -1008,12 +988,6 @@ class LivePartitionSupervisor:
         self._stop = stop_requested or (lambda: False)
         self._status = status or (lambda line: None)
         self._batch_rows = int(batch_rows)
-        #: serving-plane hooks (see ``repro.serve.bridge``): when
-        #: ``on_transitions`` is set, workers ship per-block transition
-        #: rows piggybacked on heartbeats; ``on_service`` fires once per
-        #: supervision pass (publish cadence + lost-coverage polling).
-        self.on_transitions = on_transitions
-        self.on_service = on_service
 
         if self.fused:
             from .fusion import build_block_specs
@@ -1106,7 +1080,7 @@ class LivePartitionSupervisor:
 
         The single derivation both the on-disk manifest and the
         ``/health`` document are rendered from, and the programmatic
-        accessor the serving plane's bridge polls.  Safe to call from
+        accessor for in-process consumers.  Safe to call from
         another thread while the run mutates state: every field read is
         a single attribute load, so the view is consistent-enough
         without taking the supervisor's time.
@@ -1231,7 +1205,6 @@ class LivePartitionSupervisor:
             "keep": self.checkpoint_keep,
             "resume": True,
             "ship_telemetry": self.metrics.enabled,
-            "ship_transitions": self.on_transitions is not None,
             "traced": self.tracer.enabled,
             "trace_ctx": self.tracer.context(),
             "explain": self.explain.enabled,
@@ -1435,14 +1408,6 @@ class LivePartitionSupervisor:
                 partition.explain_folded_seq = int(fresh[-1]["seq"])
                 if self.explain.enabled:
                     self.explain.extend(fresh)
-        rows = info.get("transitions")
-        if rows and self.on_transitions is not None:
-            # Forward verbatim; the consumer's apply is idempotent
-            # (strictly increasing transition time per block), which
-            # absorbs a restarted worker re-shipping its full history.
-            self.on_transitions(
-                [(int(key), float(when), bool(up))
-                 for key, when, up in rows])
 
     def _pump(self, partition: _LivePartition) -> None:
         """Send pending rows (and a due finalize) to a worker."""
@@ -1511,11 +1476,6 @@ class LivePartitionSupervisor:
                     and now >= partition.restart_at):
                 self._spawn(partition)
             self._pump(partition)
-        if self.on_service is not None:
-            # Serving-plane tick: fires even when every worker is dead
-            # or silent, so the bridge can observe lost coverage and
-            # let its published snapshot age honestly.
-            self.on_service()
 
     # -- the run ------------------------------------------------------------
 

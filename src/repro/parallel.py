@@ -53,34 +53,40 @@ a manifest naming the plan.  A killed run resumes by recomputing only
 the missing shards — and because merge is deterministic, the resumed
 run's output is identical to an uninterrupted one.
 
-**Supervision.**  The pool path above dies wholesale when one worker
-process segfaults, OOMs, or hangs — process-fatal failures that never
-surface as Python exceptions, so the per-block quarantine in
-:mod:`repro.core.health` cannot catch them.  With a
-:class:`SupervisionPolicy`, shards instead run under a
-:class:`ShardSupervisor`: each shard attempt is its own child process
-with a wall-clock deadline and an RSS ceiling; a dead/stalled/bloated
-child is classified (``crash``/``hang``/``oom``), retried with bounded
+**Supervision.**  Every sharded run executes under a
+:class:`ShardSupervisor`, with the pipeline's
+:class:`SupervisionPolicy` or a default one.  A worker process that
+segfaults, OOMs, or hangs never surfaces as a Python exception, so the
+per-block quarantine in :mod:`repro.core.health` cannot catch it;
+instead each shard attempt is its own child process with a wall-clock
+deadline and an RSS ceiling; a dead/stalled/bloated child is
+classified (``crash``/``hang``/``oom``), retried with bounded
 exponential backoff and deterministic seeded jitter, and on retry
 exhaustion the shard is **bisected** — the keyspace halves recursively
 until the minimal poisoned block(s) are isolated and dead-lettered
 under ``stage="supervision"``, giving process-fatal poison the same
-per-block quarantine contract as exception-level poison.  The run then
-completes *degraded*: its health report gains a ``coverage`` section
-(planned/delivered/lost blocks plus every unit's attempt history),
-still proves ``accounts_for()`` over the full population, and feeds
-the error budget.  Attempt counts and bisection lineage persist in the
-checkpoint manifest, so kill-and-resume never re-pays completed
-retries.
+per-block quarantine contract as exception-level poison.  Every
+sharded health report carries a ``coverage`` section (planned,
+delivered and lost blocks plus every unit's attempt history); a run
+that lost blocks completes *degraded*, still proves ``accounts_for()``
+over the full population, and feeds the error budget.  Attempt counts
+and bisection lineage persist in the checkpoint manifest, so
+kill-and-resume never re-pays completed retries.
+
+Children start from a ``forkserver`` preloaded with this package (see
+:func:`_child_context`), so an attempt costs a fork of a warm
+interpreter instead of a fresh interpreter plus the numpy import
+(0.3–0.5 s under ``spawn``).  The server starts at the first launch,
+never at import.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import sys
 import time as _time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
@@ -143,7 +149,7 @@ SHARD_RESULT_FORMAT = "repro-shard-result-v1"
 #: the plan — and therefore every merged artefact — must be a function
 #: of the population alone, so ``--workers 1`` and ``--workers 4``
 #: produce bit-identical output.  16 oversubscribes typical worker
-#: counts enough that one slow shard does not serialise the pool.
+#: counts enough that one slow shard does not serialise the run.
 DEFAULT_SHARD_COUNT = 16
 
 
@@ -223,7 +229,7 @@ def _pipeline_config(pipeline: PassiveOutagePipeline) -> Dict[str, Any]:
     aggregation (a supernet may span shards, so the fallback runs
     parent-side over the merged result), no error budget (the budget
     is the parent's verdict over the union), and sequential execution
-    (``workers=0`` — a worker must never recurse into the pool).
+    (``workers=0`` — a worker must never shard again).
     """
     planner = pipeline.planner
     return {
@@ -279,11 +285,9 @@ def _shard_document(stage: str, payload: Dict[str, Any],
         "index": payload["index"],
         "plan_digest": payload["plan_digest"],
         "health": health.as_dict(),
+        # Execution unit id (bisection lineage) the document answers.
+        "unit": payload["unit"],
     }
-    if "unit" in payload:
-        # Supervised execution unit id (bisection lineage) — absent
-        # from legacy pool-path documents, whose unit IS the index.
-        document["unit"] = payload["unit"]
     if registry.enabled:
         document["metrics"] = registry.snapshot()
     if tracer.enabled:
@@ -299,8 +303,8 @@ def _shard_document(stage: str, payload: Dict[str, Any],
 def _run_train_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Train one shard's blocks in the calling process.
 
-    Module-level (not a closure) so the spawn start method can pickle
-    it; everything it needs arrives in the payload.
+    Module-level (not a closure) so it pickles into a supervised
+    child; everything it needs arrives in the payload.
     """
     pipeline, registry = _worker_pipeline(payload["config"])
     model = pipeline.train(Family(payload["family"]), payload["per_block"],
@@ -333,109 +337,20 @@ def _run_detect_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _ensure_child_import_path() -> None:
-    """Make sure spawned workers can ``import repro``.
+    """Make sure child interpreters can ``import repro``.
 
-    Spawned children rebuild ``sys.path`` from the environment; if the
-    parent found this package through an in-process path tweak rather
-    than ``PYTHONPATH``, the children would not.  Prepending the
-    package root to ``PYTHONPATH`` (inherited by children) closes that
-    gap without affecting the parent.
+    Spawned children, and the forkserver that preloads this module,
+    build ``sys.path`` from the environment; if the parent found this
+    package through an in-process path tweak rather than
+    ``PYTHONPATH``, they would not.  Prepending the package root to
+    ``PYTHONPATH`` (inherited by children) closes that gap without
+    affecting the parent.
     """
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     existing = os.environ.get("PYTHONPATH", "")
     parts = existing.split(os.pathsep) if existing else []
     if package_root not in parts:
         os.environ["PYTHONPATH"] = os.pathsep.join([package_root] + parts)
-
-
-def _cache_corrupt_metric(metrics: Any) -> Any:
-    return metrics.counter(
-        "shard_cache_corrupt_total",
-        "Corrupt cached shard files found at resume (counted, deleted, "
-        "and recomputed)")
-
-
-def _load_cached_shards(checkpoint_dir: Optional[str], stage: str,
-                        digest: str, n_shards: int,
-                        metrics: Any = NULL_REGISTRY) -> Dict[int, Dict]:
-    """Cached shard documents matching this exact plan, by index.
-
-    A *missing* shard file is the normal resume case (the shard never
-    completed); a *corrupt* one is an infrastructure fault — it is
-    counted (``shard_cache_corrupt_total``) and deleted so this resume,
-    and every later one, rewrites it instead of silently recomputing
-    behind an undiagnosed rotting file.
-    """
-    if checkpoint_dir is None:
-        return {}
-    manifest = read_shard_manifest(checkpoint_dir)
-    if manifest is None or manifest.get("plan_digest") != digest:
-        return {}
-    cached: Dict[int, Dict] = {}
-    for index in range(n_shards):
-        status, document = load_shard_document(checkpoint_dir, index)
-        if status == "corrupt":
-            _cache_corrupt_metric(metrics).inc()
-            discard_shard_result(checkpoint_dir, index)
-            continue
-        if (status == "ok"
-                and document.get("format") == SHARD_RESULT_FORMAT
-                and document.get("stage") == stage
-                and document.get("index") == index
-                and document.get("plan_digest") == digest):
-            cached[index] = document
-    return cached
-
-
-def _execute_shards(stage: str, worker, payloads: List[Dict[str, Any]],
-                    workers: int, checkpoint_dir: Optional[str],
-                    digest: str, n_shards: int,
-                    metrics: Any = NULL_REGISTRY) -> List[Dict[str, Any]]:
-    """Run (or reload) every shard and return documents in plan order.
-
-    ``workers == 1`` runs the shards in-process through the *same*
-    worker function and merge path as the pooled case — single-worker
-    sharded runs are the equivalence baseline, not a separate code
-    path.  Completed shards are checkpointed as they finish.
-    """
-    cached = _load_cached_shards(checkpoint_dir, stage, digest, n_shards,
-                                 metrics)
-    if checkpoint_dir is not None:
-        # Plan-time hygiene: shard files whose digest mismatches the
-        # current plan can never be read again — without pruning, a
-        # reused checkpoint directory accumulates them forever.  Runs
-        # after the cache load so in-plan corrupt files were already
-        # counted and removed above.
-        prune_stale_shards(checkpoint_dir, digest)
-    if checkpoint_dir is not None and not cached:
-        # New or mismatched plan: stamp the manifest before computing,
-        # so partial results written below are attributable to it.
-        write_shard_manifest(checkpoint_dir, {
-            "stage": stage, "plan_digest": digest, "n_shards": n_shards})
-    documents: Dict[int, Dict[str, Any]] = dict(cached)
-    pending = [p for p in payloads if p["index"] not in documents]
-
-    def _completed(document: Dict[str, Any]) -> None:
-        documents[document["index"]] = document
-        if checkpoint_dir is not None:
-            save_shard_result(checkpoint_dir, document["index"], document)
-
-    if not pending:
-        pass
-    elif workers <= 1:
-        for payload in pending:
-            _completed(worker(payload))
-    else:
-        _ensure_child_import_path()
-        with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)),
-                mp_context=get_context("spawn")) as pool:
-            futures = {pool.submit(worker, payload) for payload in pending}
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    _completed(future.result())
-    return [documents[index] for index in range(n_shards)]
 
 
 # -- supervised execution ---------------------------------------------------
@@ -476,8 +391,7 @@ class ShardWorkerError(RuntimeError):
     Distinct from :class:`ShardFatalError` on purpose: per-block data
     problems are already contained *inside* the worker by the dead-
     letter scopes, so an exception escaping a worker is a harness bug —
-    it propagates instead of being retried, exactly like the
-    unsupervised pool path.
+    it propagates instead of being retried or bisected.
     """
 
 
@@ -531,16 +445,49 @@ class SupervisionPolicy:
         return self.retries + 1
 
 
+def _child_context() -> Any:
+    """The multiprocessing context supervised attempts start from.
+
+    A ``forkserver`` (Linux and macOS only) preloaded with this module
+    and every other module of this package the parent has imported:
+    each child forks from a server that already imported numpy and the
+    pipeline.  multiprocessing re-runs the parent's ``__main__`` module
+    in every child (``python -m repro.cli`` re-runs the CLI module), so
+    its imports must be warm too; the main module itself is left out,
+    because runpy warns when it re-runs a module that is already
+    imported.  Naming the preload does not start the server; the first
+    ``Process.start()`` does, so importing this module stays cheap.
+    """
+    package = __name__.partition(".")[0]
+    main = getattr(sys.modules["__main__"], "__spec__", None)
+    preload = sorted(name for name in list(sys.modules)
+                     if name.partition(".")[0] == package
+                     and name != getattr(main, "name", None))
+    context = get_context("forkserver")
+    context.set_forkserver_preload(preload)
+    return context
+
+
 def _supervised_entry(worker: Callable[[Dict[str, Any]], Dict[str, Any]],
-                      payload: Dict[str, Any], conn: Any) -> None:
+                      payload: Dict[str, Any], conn: Any,
+                      fault_spec: Optional[str]) -> None:
     """Child-process entry point for one supervised shard attempt.
 
     Sends ``("ok", document)`` or ``("error", message)`` up the pipe;
     a child that dies before sending anything is the supervisor's
-    ``crash`` outcome.  Module-level so spawn can pickle it.
+    ``crash`` outcome.  Module-level so it pickles.
+
+    ``fault_spec`` is the parent's chaos-channel value at launch time.
+    A forkserver child inherits the *server's* environment, frozen at
+    its first start, so the spec must travel with each launch and
+    replace whatever the inherited variable says.
     """
+    if fault_spec:
+        os.environ[_PROCESS_FAULT_ENV] = fault_spec
+    else:
+        os.environ.pop(_PROCESS_FAULT_ENV, None)
     try:
-        if os.environ.get(_PROCESS_FAULT_ENV):
+        if fault_spec:
             # Chaos-suite channel: only ever taken under the test env
             # var, and imported lazily so the production path never
             # touches the testing layer.
@@ -624,11 +571,12 @@ class _Running:
 class ShardSupervisor:
     """Run shard units in supervised child processes, bisecting poison.
 
-    Each attempt is its own spawn-context child with a private result
-    pipe; the supervisor polls for results, deadlines, and RSS
-    breaches, classifies failures (``crash``/``hang``/``oom``), retries
-    with :func:`_backoff_delay`, and on retry exhaustion bisects the
-    unit's keyspace (lineage ids ``"00003" -> "00003.0"/"00003.1"``)
+    Each attempt is its own child, forked from the preloaded
+    forkserver (:func:`_child_context`), with a private result pipe;
+    the supervisor polls for results, deadlines, and RSS breaches,
+    classifies failures (``crash``/``hang``/``oom``), retries with
+    :func:`_backoff_delay`, and on retry exhaustion bisects the unit's
+    keyspace (lineage ids ``"00003" -> "00003.0"/"00003.1"``)
     until single-block units either deliver or are declared *lost*.
     All attempt history and lineage state persists in the checkpoint
     manifest after every transition, so a killed run resumes without
@@ -652,7 +600,7 @@ class ShardSupervisor:
         self._checkpoint_dir = checkpoint_dir
         self._metrics = metrics
         self._tracer = tracer
-        self._ctx = get_context("spawn")
+        self._ctx = _child_context()
         #: unit_id -> {"attempts": [...], "status": ...} — the exact
         #: shape persisted under ``supervision.units`` in the manifest.
         self._state: Dict[str, Dict[str, Any]] = {}
@@ -712,19 +660,18 @@ class ShardSupervisor:
         status, document = load_shard_document(self._checkpoint_dir,
                                                unit.unit_id)
         if status == "corrupt":
-            _cache_corrupt_metric(self._metrics).inc()
+            self._metrics.counter(
+                "shard_cache_corrupt_total",
+                "Corrupt cached shard files found at resume (counted, "
+                "deleted, and recomputed)").inc()
             discard_shard_result(self._checkpoint_dir, unit.unit_id)
             return None
         if status != "ok":
             return None
-        # Legacy pool-path documents carry no "unit" key — their unit
-        # IS the zero-padded index, so a supervised resume can still
-        # adopt shards completed by an unsupervised run of this plan.
-        implied = "%05d" % document.get("index", -1)
         if (document.get("format") == SHARD_RESULT_FORMAT
                 and document.get("stage") == self._stage
                 and document.get("plan_digest") == self._digest
-                and document.get("unit", implied) == unit.unit_id):
+                and document.get("unit") == unit.unit_id):
             return document
         return None
 
@@ -774,7 +721,8 @@ class ShardSupervisor:
         receiver, sender = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_supervised_entry,
-            args=(self._worker, payload, sender), daemon=True)
+            args=(self._worker, payload, sender,
+                  os.environ.get(_PROCESS_FAULT_ENV)), daemon=True)
         process.start()
         sender.close()
         deadline = (None if self._policy.timeout is None
@@ -950,35 +898,25 @@ def _run_shards(stage: str,
                 pipeline: PassiveOutagePipeline,
                 checkpoint_dir: Optional[str], digest: str,
                 ) -> Tuple[List[Dict[str, Any]], List[_Unit],
-                           Optional[List[ShardAttemptRecord]]]:
-    """Dispatch a planned stage to the supervised or the pool path.
+                           List[ShardAttemptRecord]]:
+    """Run a planned stage under a :class:`ShardSupervisor`.
 
-    Returns ``(documents, lost_units, attempt_records)``;
-    ``attempt_records`` is None exactly when the run was unsupervised,
-    which is also the signal that no coverage section applies.
+    Returns ``(documents, lost_units, attempt_records)``.
     """
-    supervision = getattr(pipeline, "supervision", None)
-    if supervision is not None:
-        _ensure_child_import_path()
-        supervisor = ShardSupervisor(
-            stage=stage, worker=worker, build_payload=build_payload,
-            policy=supervision, workers=pipeline.workers or 1,
-            digest=digest, n_shards=len(shards),
-            checkpoint_dir=checkpoint_dir, metrics=pipeline.metrics,
-            tracer=pipeline.tracer)
-        return supervisor.execute(shards)
-    payloads = [dict(build_payload(shard), index=index, plan_digest=digest)
-                for index, shard in enumerate(shards)]
-    documents = _execute_shards(stage, worker, payloads,
-                                pipeline.workers or 1, checkpoint_dir,
-                                digest, len(shards), pipeline.metrics)
-    return documents, [], None
+    _ensure_child_import_path()
+    supervisor = ShardSupervisor(
+        stage=stage, worker=worker, build_payload=build_payload,
+        policy=pipeline.supervision or SupervisionPolicy(),
+        workers=pipeline.workers or 1, digest=digest,
+        n_shards=len(shards), checkpoint_dir=checkpoint_dir,
+        metrics=pipeline.metrics, tracer=pipeline.tracer)
+    return supervisor.execute(shards)
 
 
 def _apply_supervision(report: RunHealthReport, stage_name: str,
                        planned: int, lost_units: List[_Unit],
                        lost_keys: Sequence[int],
-                       records: Optional[List[ShardAttemptRecord]],
+                       records: List[ShardAttemptRecord],
                        metrics: Any) -> None:
     """Fold supervised-run delivery accounting into a merged report.
 
@@ -990,8 +928,6 @@ def _apply_supervision(report: RunHealthReport, stage_name: str,
     verdict, so lost blocks are judged by the error budget exactly
     like data-poisoned ones.
     """
-    if records is None:
-        return
     lost_set = set(lost_keys)
     lost_errors: Dict[int, BaseException] = {}
     for unit in sorted(lost_units, key=lambda u: u.unit_id):

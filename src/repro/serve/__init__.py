@@ -2,9 +2,8 @@
 
 `ROADMAP` item 2: the system detects outages but nothing can *ask* it
 anything.  This package fronts a running
-:class:`~repro.live.LiveBlockEngine` (or the partitioned
-:class:`~repro.live.LivePartitionSupervisor`) with an asyncio HTTP +
-WebSocket service — stdlib only, like everything else in the repo:
+:class:`~repro.live.LiveBlockEngine` with an asyncio HTTP + WebSocket
+service — stdlib only, like everything else in the repo:
 
 * **query** current up/down state by address (longest-prefix match via
   :mod:`repro.net.trie`) or by prefix (subtree enumeration);
@@ -19,12 +18,12 @@ Robustness is the contract, not a feature flag: every response is
 stamped ``{watermark, staleness_s, degraded}``, slow consumers are
 evicted (bounded outboxes) and resync via snapshot-then-deltas,
 overload sheds with ``503`` + deterministic ``Retry-After`` hints, and
-a dead-lettered partition's keyspace answers ``degraded:
-"lost-coverage"`` instead of fabricating absence evidence.
+a dead-lettered block's prefix answers ``degraded: "lost-coverage"``
+instead of fabricating absence evidence.
 """
 
 from .admission import Admission, AdmissionConfig, ReadyGate, TokenBucket
-from .bridge import EngineBridge, SupervisorBridge
+from .bridge import EngineBridge
 from .client import SubscriberState, SyncServeClient
 from .events import EVENT_KINDS, EventBroker, EventSpec, ServeEvent
 from .plane import ServeConfig, ServingPlane
@@ -50,7 +49,6 @@ __all__ = [
     "ServingPlane",
     "ServingSnapshot",
     "SubscriberState",
-    "SupervisorBridge",
     "SyncServeClient",
     "TokenBucket",
     "build_snapshot",

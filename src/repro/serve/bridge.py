@@ -1,20 +1,9 @@
-"""Bridges from the live detection engines to the serving plane.
+"""The bridge from the live detection engine to the serving plane.
 
-Two deployment shapes, one serving contract:
-
-* :class:`EngineBridge` fronts an in-process
-  :class:`~repro.live.LiveBlockEngine` — it reads the streaming
-  detector directly (beliefs included) and converts fresh transitions
-  and dead-letters into serve events.
-* :class:`SupervisorBridge` fronts a
-  :class:`~repro.live.LivePartitionSupervisor` — workers piggyback
-  per-block transitions on their heartbeats (``ship_transitions``),
-  the supervisor forwards them through its ``on_transitions`` hook,
-  and the bridge applies them idempotently (strictly increasing
-  transition time per block), so a restarted worker re-shipping its
-  full history is a no-op.  A partition dead-lettered as lost coverage
-  becomes a ``coverage-change`` event plus ``lost-coverage`` entries
-  for exactly that partition's measurable keyspace.
+:class:`EngineBridge` fronts an in-process
+:class:`~repro.live.LiveBlockEngine`: it reads the streaming detector
+directly (beliefs included) and converts fresh transitions and
+dead-letters into serve events.
 
 Publication is *progress-driven*, never wall-clock-driven: a snapshot
 is published only when something changed (transitions, coverage, or
@@ -27,7 +16,7 @@ here, not something a republish loop is allowed to mask.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..net.blocks import Block
 from .events import EventSpec
@@ -36,12 +25,11 @@ from .snapshot import BlockServingState
 
 __all__ = [
     "EngineBridge",
-    "SupervisorBridge",
     "detector_block_states",
     "fresh_transitions",
 ]
 
-#: one (key, time, is_up) transition row, the piggyback wire shape.
+#: one (key, time, is_up) transition row.
 TransitionRow = Tuple[int, float, bool]
 
 #: bound on a forced publish's wait for the loop thread to serve it.
@@ -65,10 +53,7 @@ def fresh_transitions(detector: Any,
                       shipped: Dict[int, int]) -> List[TransitionRow]:
     """Transitions appended since the last call, updating ``shipped``.
 
-    ``shipped`` maps block key -> transition count already taken; the
-    worker keeps one per incarnation, so after a restart (counts reset,
-    detector restored from checkpoint) the full history re-ships and
-    the consumer's idempotent apply drops the duplicates.
+    ``shipped`` maps block key -> transition count already taken.
     """
     rows: List[TransitionRow] = []
     for key in sorted(detector._states):
@@ -153,98 +138,3 @@ class EngineBridge:
         self._published_watermark = watermark
         self._last_publish = now
         return True
-
-
-class SupervisorBridge:
-    """Publish a partitioned supervisor's state through a serving plane.
-
-    Installs itself on the supervisor's ``on_transitions`` /
-    ``on_service`` hooks.  State is reconstructed from worker
-    transition reports (decision + time, no posterior — ``belief`` is
-    served as ``None``), keyed by strictly increasing transition time
-    per block so at-least-once shipping stays exact.
-    """
-
-    def __init__(self, supervisor: Any, plane: ServingPlane,
-                 publish_min_interval_s: float = 0.25,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        self.supervisor = supervisor
-        self.plane = plane
-        self.publish_min_interval_s = float(publish_min_interval_s)
-        self._clock = clock
-        self.family = supervisor.model.family
-        self._depth = self.family.default_block_prefix
-        #: every measurable block starts served as up — the same prior
-        #: the detector itself starts from (belief at the ceiling).
-        self._states: Dict[int, BlockServingState] = {
-            key: BlockServingState(up=True)
-            for partition in supervisor.partitions
-            for key in partition.measurable
-        }
-        self._applied: Dict[int, float] = {}
-        self._pending: List[EventSpec] = []
-        self._lost: Dict[int, str] = {}
-        self._lost_partitions: Set[int] = set()
-        self._published_watermark = float("-inf")
-        self._last_publish = float("-inf")
-        self._dirty = True
-        supervisor.on_transitions = self.on_transitions
-        supervisor.on_service = self.on_service
-
-    def _block(self, key: int) -> str:
-        return str(Block(self.family, key, self._depth))
-
-    # -- supervisor hooks ---------------------------------------------------
-
-    def on_transitions(self, rows: List[TransitionRow]) -> None:
-        """Fold piggybacked transition rows; duplicates are no-ops."""
-        for key, when, up in rows:
-            key = int(key)
-            when = float(when)
-            if when <= self._applied.get(key, float("-inf")):
-                continue  # re-shipped after a worker restart
-            if key in self._lost:
-                continue
-            self._applied[key] = when
-            self._states[key] = BlockServingState(up=bool(up), since=when)
-            self._pending.append(EventSpec(
-                kind="recovery" if up else "onset", time=when,
-                block=self._block(key), key=key))
-            self._dirty = True
-
-    def on_service(self, force: bool = False) -> None:
-        """Per-supervision-pass hook: fold coverage, maybe publish."""
-        status = self.supervisor.live_status()
-        for partition in status.partitions:
-            if (partition.status != "lost"
-                    or partition.index in self._lost_partitions):
-                continue
-            self._lost_partitions.add(partition.index)
-            affected: List[str] = []
-            for key in partition.measurable_keys:
-                if key in self._lost:
-                    continue
-                self._lost[key] = "lost-coverage"
-                self._states.pop(key, None)
-                affected.append(self._block(key))
-            self._pending.append(EventSpec(
-                kind="coverage-change", time=status.global_watermark,
-                detail={"lost": True, "reason": "lost-coverage",
-                        "partition": partition.unit,
-                        "affected_prefixes": sorted(affected)}))
-            self._dirty = True
-        if status.global_watermark > self._published_watermark:
-            self._dirty = True
-        now = self._clock()
-        throttled = (now - self._last_publish < self.publish_min_interval_s
-                     and not self._pending)
-        if (self._dirty or force) and (force or not throttled):
-            seq = self.plane.publish(
-                dict(self._states), watermark=status.global_watermark,
-                lost=dict(self._lost), events=self._pending)
-            if force:
-                self.plane.wait_published(seq, FORCED_PUBLISH_WAIT_S)
-            self._pending = []
-            self._dirty = False
-            self._published_watermark = status.global_watermark
-            self._last_publish = now

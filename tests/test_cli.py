@@ -604,6 +604,17 @@ class TestParallelFlags:
         for document in reports.values():
             for stage in document[1]["stages"]:
                 stage["seconds"] = 0.0
+        # Sharded runs are supervised, so their reports add a coverage
+        # section: clean here (nothing lost, one ok attempt per unit)
+        # and the same at every worker count.  The rest matches the
+        # sequential report, which has none.
+        assert "coverage" not in reports["seq"][1]
+        coverage = reports["w1"][1].pop("coverage")
+        assert reports["w4"][1].pop("coverage") == coverage
+        assert coverage["blocks_lost"] == []
+        assert coverage["blocks_delivered"] == coverage["blocks_planned"]
+        assert all(unit["outcomes"] == ["ok"] and unit["status"] == "done"
+                   for unit in coverage["shard_attempts"])
         assert reports["w1"][1] == reports["w4"][1] == reports["seq"][1]
 
     def test_detect_workers_budget_trip_still_exits_3(self, tmp_path,

@@ -162,6 +162,26 @@ class TestImportHealth:
             capture_output=True, text=True, check=True)
         assert loaded.stdout.strip() == "[]"
 
+    def test_shard_forkserver_starts_at_first_launch_only(self):
+        """Importing the CLI and the live path (which imports
+        ``repro.parallel``) and building a ``ShardSupervisor`` start no
+        forkserver: commands that never shard must not pay its start."""
+        import os
+        import subprocess
+
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.cli, repro.live; "
+             "from multiprocessing import forkserver; "
+             "from repro.parallel import ShardSupervisor, "
+             "SupervisionPolicy; "
+             "ShardSupervisor('detect', None, None, SupervisionPolicy(), "
+             "2, 'digest', 0); "
+             "print(forkserver._forkserver._forkserver_pid)"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, check=True)
+        assert probe.stdout.strip() == "None"
+
     def test_scalar_belief_oracles_have_no_caller_outside_belief(self):
         """Every streaming bin closes through the cohort kernels: the
         scalar recurrence (``BeliefState.update``,

@@ -59,10 +59,26 @@ def run_pair(per_block, workers, *, mutate=None, shard_chunk=3,
     return results
 
 
+def assert_clean_coverage(report):
+    """Every sharded run runs supervised: its health carries a
+    ``coverage`` section, which on input that kills no worker loses no
+    block and shows one ``ok`` attempt per unit."""
+    coverage = report.coverage
+    assert coverage is not None
+    assert coverage.blocks_lost == []
+    assert coverage.blocks_delivered == coverage.blocks_planned
+    assert coverage.shard_attempts
+    for record in coverage.shard_attempts:
+        assert (record.outcomes, record.status) == (["ok"], "done"), record
+
+
 def normalized_health(report):
-    """Health dict with wall-clock timings zeroed and letters canonical."""
+    """Health dict with wall-clock timings zeroed, letters canonical,
+    and the supervision ``coverage`` section (sharded runs only, see
+    :func:`assert_clean_coverage`) left out."""
     report.dead_letters.canonicalize()
     document = report.as_dict()
+    document.pop("coverage", None)
     for stage in document["stages"]:
         stage["seconds"] = 0.0
     return document
@@ -87,6 +103,8 @@ def assert_results_equivalent(seq_result, shard_result):
                    seq_result.dead_letters.entries)
             == sorted(e.as_dict().items() for e in
                       shard_result.dead_letters.entries))
+    assert seq_result.health.coverage is None
+    assert_clean_coverage(shard_result.health)
     assert (normalized_health(seq_result.health)
             == normalized_health(shard_result.health))
 
@@ -139,6 +157,8 @@ class TestCleanEquivalence:
             assert result1.blocks[key].timeline == result4.blocks[key].timeline
         assert (result1.dead_letters.as_dict()
                 == result4.dead_letters.as_dict())
+        assert_clean_coverage(result1.health)
+        assert result1.health.coverage == result4.health.coverage
         assert (normalized_health(result1.health)
                 == normalized_health(result4.health))
         # Counter values fold identically; only wall-clock histograms
@@ -259,6 +279,7 @@ class TestShardCheckpoint:
         result = resumed.detect(model, population, 0.0, DAY)
         for key in expected.blocks:
             assert expected.blocks[key].timeline == result.blocks[key].timeline
+        assert result.health.coverage.blocks_lost == []
         assert (normalized_health(expected.health)
                 == normalized_health(result.health))
 

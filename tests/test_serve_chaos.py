@@ -10,9 +10,6 @@ silent staleness, no fabricated state, no unbounded buffering:
   observability endpoints stay reachable;
 * a stalled detector starves publication, so responses degrade to
   ``stale`` (then 503 past the hard bound) and ``/ready`` trips;
-* a partition that dies past its restart budget degrades exactly its
-  own measurable keyspace to ``lost-coverage`` and announces it as a
-  ``coverage-change`` event — sibling blocks keep answering normally;
 * SIGTERM drains: subscribers get a proper close, the process exits 0.
 """
 
@@ -30,10 +27,9 @@ import pytest
 from repro.cli import main
 from repro.core.detector import StreamingDetector
 from repro.core.serialize import load_model
-from repro.live import LiveBlockEngine, LivePartitionSupervisor
+from repro.live import LiveBlockEngine
 from repro.net.blocks import Block
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import SupervisionPolicy
 from repro.serve import (
     AdmissionConfig,
     BlockServingState,
@@ -44,13 +40,11 @@ from repro.serve import (
     ServeConfig,
     ServingPlane,
     SubscriberState,
-    SupervisorBridge,
     SyncServeClient,
 )
 from repro.serve import ws
 from repro.serve.client import http_get
 from repro.telescope.capture import CaptureReader
-from repro.testing.faults import after_windows, crash_on_block, process_fault_env
 
 pytestmark = pytest.mark.faults
 
@@ -330,90 +324,6 @@ class TestDetectorStall:
                                        "/v1/state?prefix=0.0.0.0/0")
             assert status == 200
             assert json.loads(body)["stamp"]["degraded"] is None
-        finally:
-            plane.stop(drain=False)
-
-
-class TestPartitionLossDegradation:
-    def test_killed_partition_degrades_exactly_its_keyspace(
-            self, live_setup, tmp_path, monkeypatch):
-        capture, _, model = live_setup
-        victim = sorted(model.parameters)[0]
-        counter_dir = tmp_path / "counters"
-        os.makedirs(counter_dir, exist_ok=True)
-        for key, value in process_fault_env(
-                after_windows(crash_on_block(victim), 50),
-                counter_dir=str(counter_dir)).items():
-            monkeypatch.setenv(key, value)
-
-        plane, _ = start_plane(ready=ReadyGate(max_lag_s=3600.0,
-                                               max_lost_fraction=0.05))
-        try:
-            registry = MetricsRegistry()
-            os.makedirs(tmp_path / "ckpt", exist_ok=True)
-            supervisor = LivePartitionSupervisor(
-                model, partitions=4,
-                policy=SupervisionPolicy(retries=0, backoff_base=0.01),
-                checkpoint_dir=str(tmp_path / "ckpt"),
-                checkpoint_every=1800.0, reorder_horizon=2.0,
-                metrics=registry)
-            bridge = SupervisorBridge(supervisor, plane,
-                                      publish_min_interval_s=0.05)
-            result = supervisor.run(capture)
-            assert result.degraded
-
-            status = supervisor.live_status()
-            lost = status.lost_partitions
-            assert len(lost) == 1 and victim in lost[0].keys
-            expected = sorted(str(Block(model.family, key, 24))
-                              for key in lost[0].measurable_keys)
-            survivors = [key for partition in status.partitions
-                         if partition.status != "lost"
-                         for key in partition.measurable_keys]
-            assert survivors
-
-            # The final published snapshot marks exactly that keyspace.
-            assert wait_for(
-                lambda: plane.snapshot is not None
-                and sorted(plane.snapshot.lost_prefixes) == expected)
-
-            # Queries inside the lost keyspace answer degraded, with
-            # the affected prefix named — never a fabricated verdict.
-            lost_address = str(Block(model.family,
-                                     lost[0].measurable_keys[0],
-                                     24)).split("/")[0]
-            _, _, body = http_get("127.0.0.1", plane.port,
-                                  f"/v1/state?address={lost_address}")
-            document = json.loads(body)
-            assert not document["found"]
-            assert document["degraded"] == "lost-coverage"
-            # Sibling coverage is untouched: survivors still answer.
-            alive_address = str(Block(model.family, survivors[0],
-                                      24)).split("/")[0]
-            _, _, body = http_get("127.0.0.1", plane.port,
-                                  f"/v1/state?address={alive_address}")
-            document = json.loads(body)
-            assert document["found"]
-            assert document["degraded"] is None
-
-            # The event stream announced the coverage change once, for
-            # exactly the lost partition's measurable prefixes.
-            _, _, body = http_get("127.0.0.1", plane.port,
-                                  "/v1/events?since=0")
-            events = json.loads(body)["events"]
-            changes = [event for event in events
-                       if event["kind"] == "coverage-change"]
-            assert len(changes) == 1
-            assert changes[0]["detail"]["partition"] == lost[0].unit
-            assert sorted(changes[0]["detail"]["affected_prefixes"]) \
-                == expected
-
-            # /ready trips on lost coverage (gate set tight above).
-            status_code, _, body = http_get("127.0.0.1", plane.port,
-                                            "/ready")
-            assert status_code == 503
-            assert any("lost" in reason
-                       for reason in json.loads(body)["reasons"])
         finally:
             plane.stop(drain=False)
 

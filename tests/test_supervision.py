@@ -27,6 +27,7 @@ from repro.net.addr import Family
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import SupervisionPolicy
 from repro.testing.faults import (
+    PROCESS_FAULT_ENV,
     balloon_rss_on_block,
     crash_on_block,
     hang_on_block,
@@ -154,6 +155,27 @@ class TestCrashContainment:
         assert len(flaky) == 1
         assert 2 in coverage.retry_histogram()
         assert_surviving_blocks_match(result, baseline, set())
+
+
+class TestFaultSpecPerLaunch:
+    def test_spec_is_read_at_each_launch_not_inherited(self, monkeypatch):
+        """Children fork from a long-lived forkserver whose environment
+        froze at its first start.  The fault spec must travel with each
+        launch: clean, faulty and clean runs in one process must lose
+        the victim in the faulty run only, whichever environment the
+        server happened to start with."""
+        population = make_population(6)
+        victim = sorted(population)[3]
+        lost = []
+        for faulty in (False, True, False):
+            if faulty:
+                set_faults(monkeypatch, crash_on_block(victim))
+            else:
+                monkeypatch.delenv(PROCESS_FAULT_ENV, raising=False)
+            pipeline = supervised(2, shard_chunk=2, retries=0)
+            model = pipeline.train(Family.IPV4, population, 0.0, WINDOW)
+            lost.append(model.health.coverage.blocks_lost)
+        assert lost == [[], [victim], []]
 
 
 class TestHangAndOOM:
