@@ -4,10 +4,11 @@ Not a paper artefact — this pins the performance contract of the
 ``repro.live`` subsystem: on a machine with spare cores, streaming a
 synthetic weeklong 1,536-block capture through four supervised
 partition workers must not be slower than the single-process streaming
-detector.  The partitioned parent does strictly less work per record
-(an owner lookup and a batched pipe send) than the detector's bin
-arithmetic, so if partitioning ever stops paying for its plumbing the
-routing or replay bookkeeping has regressed.
+detector.  Each worker decodes the whole capture but runs the per-block
+work for only its quarter of the blocks, and the parent only
+supervises, so if partitioning ever stops paying on a machine with a
+spare core per worker, the workers' replay over foreign blocks or the
+supervision overhead has regressed.
 
 The equivalence contract (bit-for-bit identical verdicts, merged
 health, counters) is pinned separately by ``tests/test_live.py``; this
@@ -39,7 +40,7 @@ DAY = 86400.0
 N_BLOCKS = 1536
 PARTITIONS = 4
 REPEATS = 2               # best-of-N; spawn cost is paid on every run
-MIN_CORES = PARTITIONS + 1  # workers plus the routing parent
+MIN_CORES = PARTITIONS + 1  # workers plus the supervising parent
 
 
 def poisson_times(rng, rate, start, end):
@@ -137,9 +138,9 @@ def test_partitioned_live_keeps_up_with_single_process(weeklong_live):
 
     if cores < MIN_CORES:
         pytest.skip(f"{cores} CPU(s): {PARTITIONS} partition workers plus "
-                    f"a routing parent cannot beat one process without "
+                    f"a supervising parent cannot beat one process without "
                     f"spare cores")
     assert speedup >= 1.0, (
         f"partitioned live ran {pooled_s:.2f}s vs {single_s:.2f}s "
         f"single-process ({speedup:.2f}x); partitioning no longer pays "
-        f"for its routing and replay bookkeeping")
+        f"for each worker's whole-capture replay and its supervision")

@@ -470,31 +470,41 @@ def _stream_engine(args: argparse.Namespace, model: "TrainedModel",
     return LiveBlockEngine(detector, buffer=buffer, **options)
 
 
-def _records_line(read: int, engine: "LiveBlockEngine", skipped: int,
-                  resumed: Optional[int] = None,
-                  interrupted: bool = False) -> str:
+def _records_line(read: int, skipped: int, observed: int,
+                  late_dropped: int, resumed: Optional[int] = None,
+                  buffered: Optional[int] = None) -> str:
     """The ``records:`` line, which accounts for every record read."""
-    buffer = engine.buffer
     terms = [f"{skipped:,} training-window skipped"]
     if resumed is not None:
         terms.append(f"{resumed:,} resume skipped")
-    terms.append(f"{engine.observed:,} observed")
-    terms.append(f"{buffer.stats.late_dropped if buffer else 0:,} "
-                 f"late-dropped")
-    if interrupted:
-        terms.append(f"{buffer.pending if buffer else 0:,} still buffered")
+    terms.append(f"{observed:,} observed")
+    terms.append(f"{late_dropped:,} late-dropped")
+    if buffered is not None:
+        terms.append(f"{buffered:,} still buffered")
     return f"records: {read:,} read = " + " + ".join(terms)
+
+
+def _engine_records_line(read: int, engine: "LiveBlockEngine", skipped: int,
+                         resumed: Optional[int] = None,
+                         interrupted: bool = False) -> str:
+    """:func:`_records_line` for a replay through ``engine``."""
+    buffer = engine.buffer
+    return _records_line(
+        read, skipped, engine.observed,
+        buffer.stats.late_dropped if buffer else 0, resumed,
+        (buffer.pending if buffer else 0) if interrupted else None)
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
     """Replay a capture through the resilient live-monitor path.
 
     This is the deployment shape: a saved model, a streaming detector
-    fed in columnar chunks (or, partitioned, by supervised workers fed
-    record by record), an optional reorder buffer in front (bounded
-    out-of-order tolerance), an optional vantage sentinel (observer
-    failure quarantine), and periodic atomic checkpoints so a killed
-    monitor resumes mid-stream instead of retraining.
+    fed in columnar chunks (or, partitioned, supervised workers that
+    each replay the capture over their slice of the model), an optional
+    reorder buffer in front (bounded out-of-order tolerance), an
+    optional vantage sentinel (observer failure quarantine), and
+    periodic atomic checkpoints so a killed monitor resumes mid-stream
+    instead of retraining.
     """
     model = _stream_model(args)
     if model is None:
@@ -547,8 +557,8 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
         save_checkpoint_rotated,
     )
     from .core.health import ErrorBudget
-    from .live import _PROCESS_FAULT_ENV
-    from .telescope.capture import CaptureReader, NonFiniteTimestampError
+    from .live import _fault_plan, replay_capture
+    from .telescope.capture import CaptureReader
 
     registry, tracer = telemetry.registry, telemetry.tracer
     resume_time = None
@@ -564,22 +574,16 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
             return 1
         resume_time = detector.last_time
         print(f"resumed from {args.checkpoint} at t={resume_time:,.1f}s")
-    fault_plan = None
-    if os.environ.get(_PROCESS_FAULT_ENV):
-        # Chaos-suite channel, lazy so production never imports it.
-        from .testing.faults import load_streaming_faults
-
-        fault_plan = load_streaming_faults(model.parameters)
     engine = _stream_engine(args, model, registry, detector,
                             drift=_live_drift_config(args),
-                            fault_plan=fault_plan)
+                            fault_plan=_fault_plan(model.parameters))
     detector = engine.detector
     # The flag wins over a resumed checkpoint's stored budget: the
     # operator invoking the monitor sets this run's tolerance.
     detector.budget = ErrorBudget(args.max_quarantine_frac)
     # Resume restores the drift auditor but not the reorder buffer: the
-    # time-based skip below re-reads everything that was still buffered
-    # at checkpoint time, so restoring the buffer would double-feed it.
+    # time-based skip re-reads everything that was still buffered at
+    # checkpoint time, so restoring the buffer would double-feed it.
     engine.restore(detector.restored_extra, buffer_state=False)
 
     def _save(announce: Optional[object] = None) -> None:
@@ -596,65 +600,34 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
     next_status = (detector.last_time + interval
                    if interval > 0 else float("inf"))
     status_bins = _metric_value(registry, "stream_bins_total")
-    # Every record read lands in exactly one of these (plus the late
-    # drops and, when interrupted, what the buffer still holds).
-    skipped_training = skipped_resume = 0
-    interrupted = False
+
+    def _cut(position: int) -> None:
+        nonlocal next_checkpoint, next_status, status_bins
+        if args.checkpoint and detector.last_time >= next_checkpoint:
+            _save()
+            next_checkpoint = detector.last_time + args.checkpoint_every
+        if detector.last_time >= next_status:
+            bins = _metric_value(registry, "stream_bins_total")
+            lag = _metric_value(registry, "stream_watermark_lag_seconds")
+            print(f"[live t={detector.last_time:,.0f}s] "
+                  f"{(bins - status_bins) / interval:,.2f} windows/s, "
+                  f"lag {lag:,.1f}s, {len(detector.dead_letters)} "
+                  f"blocks quarantined", file=sys.stderr)
+            status_bins = bins
+            next_status = detector.last_time + interval
+
+    # Every record read lands in exactly one of the skipped, observed or
+    # late-dropped terms (or, when interrupted, is still buffered).
     with _graceful_stop() as stop_requested:
         try:
             with CaptureReader(args.capture,
                                tolerant=args.tolerant) as reader:
-                while True:
-                    if stop_requested():
-                        interrupted = True
-                        break
-                    first = reader.records_read
-                    with tracer.span("capture.decode"):
-                        chunk = reader.read_chunk()
-                    if chunk is None:
-                        break
-                    # Training-window traffic is not live; after a
-                    # resume, records up to the checkpoint were already
-                    # accounted before the crash.  NaN passes both.
-                    times = chunk.times
-                    keep = ~(times < detector.start)
-                    skipped_training += len(chunk) - int(keep.sum())
-                    if resume_time is not None:
-                        fresh = ~(times <= resume_time)
-                        skipped_resume += int((keep & ~fresh).sum())
-                        keep &= fresh
-                    poisoned = np.flatnonzero(keep & ~np.isfinite(times))
-                    cut = int(poisoned[0]) if poisoned.size else len(chunk)
-                    rows = chunk[np.flatnonzero(keep[:cut])]
-                    fed = 0
-                    while fed < len(rows):
-                        with tracer.span("live.feed"):
-                            fed += engine.feed_batch(
-                                rows[fed:], min(next_checkpoint, next_status))
-                        if (args.checkpoint
-                                and detector.last_time >= next_checkpoint):
-                            _save()
-                            next_checkpoint = (detector.last_time
-                                               + args.checkpoint_every)
-                        if detector.last_time >= next_status:
-                            bins = _metric_value(registry,
-                                                 "stream_bins_total")
-                            lag = _metric_value(
-                                registry, "stream_watermark_lag_seconds")
-                            print(f"[live t={detector.last_time:,.0f}s] "
-                                  f"{(bins - status_bins) / interval:,.2f} "
-                                  f"windows/s, lag {lag:,.1f}s, "
-                                  f"{len(detector.dead_letters)} "
-                                  f"blocks quarantined",
-                                  file=sys.stderr)
-                            status_bins = bins
-                            next_status = detector.last_time + interval
-                    if poisoned.size:
-                        raise NonFiniteTimestampError(first + cut,
-                                                      float(times[cut]))
-                if not interrupted:
-                    with tracer.span("live.feed"):
-                        engine.flush()
+                skipped_training, skipped_resume, interrupted = \
+                    replay_capture(
+                        engine, reader,
+                        until=lambda: min(next_checkpoint, next_status),
+                        on_cut=_cut, stop=stop_requested,
+                        resume_time=resume_time, tracer=tracer)
                 if reader.stopped_early:
                     print(f"capture corrupt past record "
                           f"{reader.records_read}; stopped at last good "
@@ -683,8 +656,8 @@ def _run_live(args: argparse.Namespace, model: "TrainedModel",
         _save(announce=sys.stderr if interrupted else sys.stdout)
     print(f"replayed {engine.observed:,} observations to "
           f"t={detector.last_time:,.1f}s")
-    print(_records_line(reader.records_read, engine, skipped_training,
-                        skipped_resume, interrupted))
+    print(_engine_records_line(reader.records_read, engine, skipped_training,
+                               skipped_resume, interrupted))
     if interrupted:
         return 0
     if engine.buffer:
@@ -763,6 +736,9 @@ def _run_live_partitioned(args: argparse.Namespace, model: "TrainedModel",
         print("interrupted: partition checkpoints flushed; rerun the same "
               "command to resume", file=sys.stderr)
         return 0
+    # Workers resume by position, so no record is ever resume-skipped.
+    print(_records_line(result.records_read, result.skipped, result.observed,
+                        result.late_dropped, resumed=0))
     _print_live_summary(args, result.results, registry,
                         (result.sentinel_windows, result.sentinel_seconds)
                         if args.sentinel else None)
@@ -860,8 +836,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     print(f"replayed {engine.observed:,} observations to "
                           f"t={detector.last_time:,.1f}s; serving",
                           file=sys.stderr)
-                print(_records_line(reader.records_read, engine, skipped,
-                                    interrupted=interrupted))
+                print(_engine_records_line(reader.records_read, engine,
+                                           skipped,
+                                           interrupted=interrupted))
                 # An interrupted replay falls straight through: the
                 # stop flag stays set.
                 linger = args.linger_s

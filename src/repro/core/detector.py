@@ -970,10 +970,8 @@ class StreamingDetector:
         windows is retracted (the observer, not the block, was judged
         unhealthy) and the overlapping windows are recorded on each
         :class:`BlockResult`.  ``quarantined`` overrides the sentinel's
-        own windows — the partitioned live path runs *one* sentinel
-        parent-side over the whole tap (feed health is a property of
-        the vantage, not of any partition's slice) and passes its
-        verdict down to every worker here.
+        own windows (the fused detector passes the windows in which
+        every vantage was dark).
 
         Enforces the error budget: when more than ``max_quarantine_frac``
         of the blocks this detector started with have been dead-lettered,

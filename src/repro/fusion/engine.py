@@ -640,12 +640,10 @@ class FusedStreamingDetector(StreamingDetector):
         self._source_counts: Dict[int, List[int]] = {
             key: [0] * len(self.source_names) for key in self._states}
         #: when True (default), :meth:`observe_from` feeds the vantage
-        #: monitors itself.  The live plumbing sets this False and
-        #: drives them explicitly — raw-tap order via
-        #: :meth:`note_arrival` in the single-process engine, or
-        #: parent-shipped sentinel-bin counts in a partition worker —
-        #: because there the monitor feed (the raw tap) and the
-        #: detector feed (post-reorder-buffer) are different streams.
+        #: monitors itself.  The live engine sets this False and drives
+        #: them in raw-tap order via :meth:`note_arrival`, because there
+        #: the monitor feed (the raw tap) and the detector feed
+        #: (post-reorder-buffer) are different streams.
         self.inline_monitors = True
 
     # -- feeding ------------------------------------------------------------
@@ -895,9 +893,7 @@ class FusedStreamingDetector(StreamingDetector):
                  quarantined: Optional[List[Tuple[float, float]]] = None,
                  ) -> Dict[int, BlockResult]:
         for monitor in self._monitor_list:
-            # Trailing silence up to the cut is evidence too; in
-            # external-monitor mode every bin closing at or before
-            # ``end`` has already been fed, so this is a no-op there.
+            # Trailing silence up to the cut is evidence too.
             monitor.advance(end)
         if quarantined is None:
             # Retract only where EVERY vantage was dark at once; while

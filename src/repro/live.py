@@ -10,52 +10,56 @@ Three layers:
 
 :class:`LiveBlockEngine`
     One :class:`~repro.core.detector.StreamingDetector` plus its
-    reorder buffer and rolling drift auditor.  The single-process CLI
-    path and every partition worker run the *same* engine, which is
-    what makes the partitioned≡single equivalence contract testable
-    rather than aspirational.
+    reorder buffer and rolling drift auditor, fed by
+    :func:`replay_capture` (single-source) or :func:`merge_tagged_captures`
+    (fused).  The single-process CLI path and every partition worker run
+    the *same* engine over the *same* stream, which is what makes the
+    partitioned≡single equivalence contract hold by construction.
 
 ``_live_worker_entry``
     Child-process entry point for one partition: restores the engine
-    from its rotated checkpoint (detector state, reorder buffer,
-    drift auditor, replay cursor), consumes sequence-numbered
-    observation batches from the parent, checkpoints on a stream-time
-    cadence, and reports heartbeats with its watermark and replay
-    cursor.
+    from its rotated checkpoint (detector state, reorder buffer, drift
+    auditor, position cursor), opens the capture itself, replays it
+    over its slice of the model from the cursor on, checkpoints on a
+    stream-time cadence, and reports heartbeats with its watermark,
+    position and cumulative telemetry.
 
 :class:`LivePartitionSupervisor`
     The parent: plans partitions over the model's block population with
     the same deterministic plan algebra as the batch path
     (:func:`~repro.parallel.plan_shards` — the plan is a function of
-    the population, never of worker count), routes capture records to
-    their owning partition with per-partition sequence numbers and the
-    *global* stream front attached, classifies failures as
+    the population, never of worker count), starts one worker per
+    partition from the preloaded forkserver, classifies failures as
     crash/hang/oom exactly like :class:`~repro.parallel.ShardSupervisor`,
     restarts a failed partition from its checkpoint without touching
     siblings, and merges per-partition results/health/telemetry into
     one population-wide report whose ``accounts_for`` holds over the
-    full live population.  A partition that exhausts its restart
-    budget is dead-lettered as lost coverage — the run completes
-    *degraded* rather than dying.
+    full live population.  It never reads the capture.  A partition
+    that exhausts its restart budget is dead-lettered as lost coverage —
+    the run completes *degraded* rather than dying.
 
 Equivalence contract.  A partitioned run emits bit-identical events,
 health verdicts, and stream-semantic counters to a single-process run
 of the same capture:
 
-- Partition streams preserve capture order per key, and every
-  per-block decision (bins, beliefs, transitions, drift audits, hot
-  swaps) depends only on that key's arrival prefix.
-- Each worker's reorder buffer is driven by the *global* stream front
-  (shipped with every routed record via
-  :meth:`~repro.telescope.reorder.ReorderBuffer.advance_front`), so a
-  sparse partition's buffer releases records and judges lateness
-  exactly like the single global buffer restricted to its keys.
-- One sentinel runs parent-side over the whole tap (feed health is a
-  property of the vantage, not of any partition's slice) and its
-  verdict is passed into every worker's ``finalize``.
+- Every worker replays the whole tap through the same reorder buffer,
+  sentinel and vantage monitors as a single-process engine; records of
+  blocks outside its slice are counted and ignored, exactly as the
+  single-process detector ignores blocks it has no model for.  So
+  every per-block decision (bins, beliefs, transitions, drift audits,
+  hot swaps) and every feed-health verdict is computed on the same
+  stream in both shapes.
+- A restarted worker resumes by record position: its checkpoint names
+  the tap records consumed and carries the buffer and auditor, so the
+  replay continues exactly where the checkpointed state stopped.
+- Counts every worker makes identically over the whole tap merge once,
+  from the lowest-index partition not lost (see ``_TAP_FAMILIES``);
+  block-scoped counts sum.
 
-Wall-clock-dependent telemetry (stage seconds, watermark-lag and
-occupancy gauges, checkpoint counts) legitimately differs between
+The price is that every worker decodes and re-sorts the whole tap:
+partitioning contains crashes and splits the per-block work, not the
+ingest.  Wall-clock-dependent telemetry (stage seconds, watermark-lag
+and occupancy gauges, checkpoint counts) legitimately differs between
 runs; the chaos suite compares the deterministic counters only.
 """
 
@@ -65,16 +69,15 @@ import contextlib
 import heapq
 import json
 import math
-import multiprocessing
 import os
+import signal
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -116,10 +119,9 @@ from .core.serialize import (
 from .net.addr import Family
 from .obs.explain import NULL_EXPLAIN, ExplainLog, resolve_explain
 from .obs.metrics import (
-    NULL_REGISTRY,
+    SNAPSHOT_FORMAT,
     MetricsRegistry,
     diff_snapshots,
-    negate_snapshot,
     resolve_registry,
 )
 from .obs.tracing import NULL_TRACER, SpanTracer, resolve_tracer
@@ -128,13 +130,17 @@ from .parallel import (
     ShardWorkerError,
     SupervisionPolicy,
     _OUTCOME_ERRORS,
+    _PROCESS_FAULT_ENV,
     _backoff_delay,
+    _child_context,
     _ensure_child_import_path,
+    _install_fault_spec,
     _plan_digest,
     _process_rss_mb,
     plan_shards,
 )
 from .telescope.capture import (
+    CHUNK_RECORDS,
     CaptureReader,
     NonFiniteTimestampError,
     RecordChunk,
@@ -150,6 +156,7 @@ __all__ = [
     "LivePartitionSupervisor",
     "LiveStatus",
     "merge_tagged_captures",
+    "replay_capture",
     "run_partitioned_live",
     "LIVE_MANIFEST_FORMAT",
 ]
@@ -158,16 +165,10 @@ __all__ = [
 #: checkpoint directory) — ``repro-outage inspect`` dispatches on it.
 LIVE_MANIFEST_FORMAT = "repro-live-manifest-v1"
 
-_PROCESS_FAULT_ENV = "REPRO_PROCESS_FAULTS"
-
-#: routed rows per ``("obs", rows)`` message.
-_BATCH_ROWS = 256
-#: sent-but-unacknowledged batches per partition before the parent
-#: stops sending and services the fleet instead.  Deliberately small:
-#: two pickled batches fit well inside an OS pipe buffer, so the
-#: parent's ``send`` never blocks on a hung worker — it must stay free
-#: to *detect* the hang instead of joining it.
-_MAX_INFLIGHT_BATCHES = 2
+#: least wall time between two heartbeats of a partition worker.  Each
+#: carries a registry snapshot the parent folds; one per chunk cost the
+#: parent about 0.8 s of CPU on a 2-worker, 8.7M-record replay.
+_HEARTBEAT_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,6 @@ class LiveBlockEngine:
         drift: Optional[DriftConfig] = None,
         planner: Optional[ParameterPlanner] = None,
         fault_plan: Optional[Any] = None,
-        monitor_feed: str = "raw",
         advance_every: Optional[float] = None,
     ) -> None:
         self.detector = detector
@@ -223,13 +223,8 @@ class LiveBlockEngine:
         # A fused detector's vantage monitors judge the *raw* tap (feed
         # health includes the disorder and lag the reorder buffer
         # hides), so the engine takes the monitor feed away from
-        # observe_from and drives it in feed() — or, in a partition
-        # worker ("external"), leaves it to the parent's shipped
-        # sentinel-bin counts.
-        if monitor_feed not in ("raw", "external"):
-            raise ValueError(f"unknown monitor_feed {monitor_feed!r}")
+        # observe_from and drives it in feed().
         self._fused = hasattr(detector, "observe_from")
-        self._raw_monitors = self._fused and monitor_feed == "raw"
         if self._fused:
             detector.inline_monitors = False
         self.auditor: Optional[RollingRateAuditor] = None
@@ -246,7 +241,7 @@ class LiveBlockEngine:
         # finest tuned bin (every block boundary lands on a multiple of
         # it under the planner's ladder); pass ``<= 0`` to disable.
         # Partition workers receive the cadence explicitly from the
-        # supervisor — computed over the FULL model — because a slice's
+        # supervisor (computed over the FULL model), because a slice's
         # own minimum may differ and the advance grid must be identical
         # in both deployment shapes.
         if advance_every is None:
@@ -276,7 +271,7 @@ class LiveBlockEngine:
 
     def feed(self, observation: Observation) -> None:
         """Push one raw record; process whatever the buffer releases."""
-        if self._raw_monitors and observation.time >= self.detector.start:
+        if self._fused and observation.time >= self.detector.start:
             vantage = getattr(observation, "vantage", "")
             if vantage:
                 self.detector.note_arrival(vantage, observation.time)
@@ -351,16 +346,6 @@ class LiveBlockEngine:
         self._observe_released(released)
         return consumed
 
-    def advance_front(self, front: float) -> None:
-        """Advance the buffer watermark from the global stream front.
-
-        Non-finite fronts are ignored: the first routed record carries
-        the global front *before* anything was seen, which is -inf.
-        """
-        if self.buffer is not None and math.isfinite(front):
-            for ready in self.buffer.advance_front(front):
-                self._process(ready)
-
     def flush(self) -> None:
         """Drain the buffer at end of stream."""
         if self.buffer is not None:
@@ -369,10 +354,15 @@ class LiveBlockEngine:
 
     def checkpoint_extra(self, seq: Optional[int] = None,
                          ) -> Optional[Dict[str, Any]]:
-        """Engine state that rides in the checkpoint's ``extra`` slot."""
+        """Engine state that rides in the checkpoint's ``extra`` slot.
+
+        ``seq`` is a position cursor (tap records consumed); the
+        observed count travels with it.
+        """
         extra: Dict[str, Any] = {}
         if seq is not None:
             extra["seq"] = int(seq)
+            extra["observed"] = self.observed
         if self.buffer is not None:
             extra["reorder"] = self.buffer.state_dict()
         if self.auditor is not None:
@@ -387,13 +377,15 @@ class LiveBlockEngine:
         single-process resume path replays the capture by *time* (its
         skipped records include everything that was buffered), so
         restoring the buffer there would process those records twice.
-        The seq-replaying partition worker restores it.
+        A partition worker resumes by record position, so it restores
+        the buffer and the observed count.
         """
         if not extra:
             return
-        if (buffer_state and self.buffer is not None
-                and extra.get("reorder") is not None):
-            self.buffer.restore_state(extra["reorder"])
+        if buffer_state:
+            self.observed = int(extra.get("observed", 0))
+            if self.buffer is not None and extra.get("reorder") is not None:
+                self.buffer.restore_state(extra["reorder"])
         if self.auditor is not None and extra.get("drift") is not None:
             self.auditor = RollingRateAuditor.from_dict(extra["drift"])
 
@@ -514,260 +506,159 @@ class LiveBlockEngine:
 
 
 # ---------------------------------------------------------------------------
+# capture replay
+# ---------------------------------------------------------------------------
+
+
+def replay_capture(engine: LiveBlockEngine, reader: CaptureReader, *,
+                   until: Callable[[], float] = lambda: math.inf,
+                   on_cut: Callable[[int], None] = lambda position: None,
+                   stop: Callable[[], bool] = lambda: False,
+                   resume_time: Optional[float] = None,
+                   resume_position: int = 0,
+                   tracer: Any = NULL_TRACER) -> Tuple[int, int, bool]:
+    """Replay the rest of ``reader``'s capture through ``engine`` in
+    columnar chunks: the chunk loop of single-process ``live`` and of
+    every single-source partition worker.
+
+    Records before the detector's start are training-window traffic and
+    are skipped; after a resume, so are those at or before
+    ``resume_time`` (a time cursor, counted as resume-skipped) or before
+    record ``resume_position`` (a position cursor, whose records the
+    restored state already accounts for).  Rows are fed up to the
+    stream time ``until()`` names, then ``on_cut`` gets the number of
+    capture records consumed so far, so a caller can checkpoint on
+    exactly that position.  ``stop()`` is polled before each chunk; a
+    stop leaves the buffer unflushed.  A non-finite time raises
+    :class:`~repro.telescope.capture.NonFiniteTimestampError` naming its
+    record.  Returns ``(training-window skipped, resume skipped,
+    interrupted)``.
+    """
+    start = engine.detector.start
+    skipped_training = skipped_resume = 0
+    while True:
+        if stop():
+            return skipped_training, skipped_resume, True
+        first = reader.records_read
+        with tracer.span("capture.decode"):
+            chunk = reader.read_chunk()
+        if chunk is None:
+            break
+        # NaN passes both skips.
+        times = chunk.times
+        keep = ~(times < start)
+        skipped_training += len(chunk) - int(keep.sum())
+        if resume_time is not None:
+            fresh = ~(times <= resume_time)
+            skipped_resume += int((keep & ~fresh).sum())
+            keep &= fresh
+        if resume_position > first:
+            keep[:resume_position - first] = False
+        poisoned = np.flatnonzero(keep & ~np.isfinite(times))
+        cut = int(poisoned[0]) if poisoned.size else len(chunk)
+        index = np.flatnonzero(keep[:cut])
+        rows = chunk[index]
+        fed = 0
+        while fed < len(rows):
+            with tracer.span("live.feed"):
+                fed += engine.feed_batch(rows[fed:], until())
+            on_cut(first + (int(index[fed]) if fed < len(rows) else cut))
+        if poisoned.size:
+            raise NonFiniteTimestampError(first + cut, float(times[cut]))
+    with tracer.span("live.feed"):
+        engine.flush()
+    return skipped_training, skipped_resume, False
+
+
+def _fault_plan(keys: Any) -> Optional[Any]:
+    """The chaos suite's window-deferred faults for ``keys``, if the
+    test-only environment channel names any."""
+    if not os.environ.get(_PROCESS_FAULT_ENV):
+        return None
+    # Lazy, so production never imports the testing layer.
+    from .testing.faults import load_streaming_faults
+    return load_streaming_faults(keys)
+
+
+def _tagged_merge(names: List[str], readers: Mapping[str, CaptureReader]
+                  ) -> Iterator[TaggedObservation]:
+    """Time-merge per-vantage capture readers into tagged records.
+
+    Ties break by vantage order then arrival position, so the merged
+    order is a pure function of the capture files.  A NaN or infinite
+    time raises :class:`~repro.telescope.capture.NonFiniteTimestampError`
+    naming the vantage and its capture record.
+    """
+    def stream(vidx: int, name: str):
+        for position, observation in enumerate(readers[name]):
+            if not observation.time < math.inf:
+                raise NonFiniteTimestampError(position, observation.time,
+                                              name)
+            yield (observation.time, vidx, position, observation)
+
+    merged = heapq.merge(*(stream(vidx, name)
+                           for vidx, name in enumerate(names)))
+    for _, vidx, _, observation in merged:
+        yield TaggedObservation(observation.time, observation.family,
+                                observation.source, observation.qtype,
+                                names[vidx])
+
+
+def merge_tagged_captures(captures: Mapping[str, str],
+                          order: Optional[List[str]] = None,
+                          tolerant: bool = False
+                          ) -> Iterator[TaggedObservation]:
+    """Yield the time-merged union of per-vantage captures, tagged.
+
+    The fused ingest: each record comes back as a
+    :class:`~repro.telescope.records.TaggedObservation` carrying its
+    vantage name, so feeding the result through a
+    :class:`LiveBlockEngine` over a fused detector consumes exactly the
+    stream every fused partition worker replays.
+    """
+    names = list(order) if order is not None else sorted(captures)
+    with contextlib.ExitStack() as stack:
+        readers = {
+            name: stack.enter_context(
+                CaptureReader(captures[name], tolerant=tolerant))
+            for name in names
+        }
+        yield from _tagged_merge(names, readers)
+
+
+# ---------------------------------------------------------------------------
 # partition worker
 # ---------------------------------------------------------------------------
 
 
-def _live_worker_entry(payload: Dict[str, Any], conn: Any) -> None:
+def _live_worker_entry(payload: Dict[str, Any], conn: Any,
+                       fault_spec: Optional[str]) -> None:
     """Child-process entry point for one live partition.
 
-    Protocol (parent -> worker): ``("obs", rows)`` where each row is
-    ``(seq, time, family, source, qtype, front)``; ``("finalize", end,
-    windows)``; ``("shutdown",)``.  Worker -> parent: ``("hello",
-    {...})`` once ready (carrying the checkpointed replay cursor),
-    ``("hb", {...})`` after every obs batch, ``("final", document)``,
-    ``("bye", {...})`` after a shutdown checkpoint, ``("fatal",
-    message)`` for an escaping exception (a harness bug, not a block
-    fault — per-block faults are dead-lettered inside the detector).
+    The worker reads the whole capture itself and replays it through a
+    :class:`LiveBlockEngine` over its slice of the model.  Worker ->
+    parent: ``("hello", {...})`` once restored (carrying its resume
+    position), ``("hb", {...})`` after every chunk and checkpoint,
+    ``("final", document)``, ``("bye", {...})`` after a shutdown
+    checkpoint, ``("error", exception)`` for a capture error (raised in
+    the parent as single-process ``live`` raises it) and ``("fatal",
+    message)`` for any other escaping exception.  Parent -> worker:
+    ``("shutdown",)`` only.
 
-    Module-level so spawn can pickle it.
+    Module-level so it pickles; ``fault_spec`` is the parent's
+    chaos-channel value at launch (see :func:`_install_fault_spec`).
     """
+    # The parent coordinates shutdown; a terminal's SIGINT reaches the
+    # whole process group and must not kill workers mid-checkpoint.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _install_fault_spec(fault_spec)
     try:
-        registry = MetricsRegistry()
-        tracer = (SpanTracer.from_context(payload.get("trace_ctx"))
-                  if payload.get("traced") else NULL_TRACER)
-        explain = (ExplainLog() if payload.get("explain") else NULL_EXPLAIN)
-        # Heartbeat piggyback state: each heartbeat ships the registry
-        # *delta* since the previous one under a monotone sequence
-        # number, so the parent's fold is incremental and re-delivery
-        # is detectable.  A None baseline makes the first delta the
-        # full snapshot — exactly what the parent needs after it rolls
-        # back a dead incarnation's contributions.
-        ship_telemetry = bool(payload.get("ship_telemetry"))
-        metrics_seq = 0
-        metrics_baseline: Optional[Dict[str, Any]] = None
-        explain_sent = 0
-        family = Family(payload["family"])
-        start = float(payload["start"])
-        checkpoint_path = payload.get("checkpoint")
-        keep = int(payload.get("keep", 3))
-        checkpoint_every = float(payload.get("checkpoint_every", 3600.0))
-        horizon = float(payload.get("horizon", 0.0))
-        drift: Optional[DriftConfig] = payload.get("drift")
-        fusion = payload.get("fusion")
-
-        detector: Optional[StreamingDetector] = None
-        resumed = False
-        fused_names: List[str] = []
-        if fusion:
-            # Fused partition: one per-source sliced model each, the
-            # monitors driven externally by parent-shipped sentinel-bin
-            # counts (vantage health is a whole-tap property no
-            # partition can judge from its slice alone).
-            from .fusion import (
-                FusedModel,
-                FusedStreamingDetector,
-                fused_detector_from_json,
-            )
-            fused_names = list(fusion["sources"])
-            sources: Dict[str, TrainedModel] = {}
-            for name in fused_names:
-                s_histories, s_parameters = model_blocks_from_dict(
-                    fusion["blocks"][name])
-                t_start, t_end = fusion["train"][name]
-                sources[name] = TrainedModel(
-                    family=family, histories=s_histories,
-                    parameters=s_parameters, train_start=float(t_start),
-                    train_end=float(t_end))
-            fused_model = FusedModel(family=family, sources=sources,
-                                     primary=fusion["primary"])
-            if checkpoint_path and payload.get("resume", True):
-                try:
-                    with tracer.span("partition_restore",
-                                     unit=payload["unit"]):
-                        detector = load_checkpoint_rotated(
-                            checkpoint_path, fused_model, keep=keep,
-                            loader=lambda text: fused_detector_from_json(
-                                text, fused_model, metrics=registry))
-                    resumed = True
-                except (FileNotFoundError, CheckpointFormatError):
-                    detector = None
-            if detector is None:
-                detector = FusedStreamingDetector(
-                    fused_model, start, max_quarantine_frac=1.0,
-                    metrics=registry)
-        else:
-            histories, parameters = model_blocks_from_dict(
-                payload["blocks"])
-            if checkpoint_path and payload.get("resume", True):
-                model = TrainedModel(family=family, histories=histories,
-                                     parameters=parameters,
-                                     train_start=start, train_end=start)
-                try:
-                    with tracer.span("partition_restore",
-                                     unit=payload["unit"]):
-                        detector = load_checkpoint_rotated(
-                            checkpoint_path, model, metrics=registry,
-                            keep=keep)
-                    resumed = True
-                except (FileNotFoundError, CheckpointFormatError):
-                    detector = None
-            if detector is None:
-                detector = StreamingDetector(
-                    family, histories, parameters, start, sentinel=None,
-                    max_quarantine_frac=1.0, metrics=registry)
-        # The error budget is the parent's verdict over the merged
-        # population; a partition never vetoes its own slice.
-        detector.budget = ErrorBudget(1.0)
-        # Provenance is per-incarnation state (checkpoints do not carry
-        # it): install after restore, same object either way.
-        detector.explain = explain
-
-        buffer = (ReorderBuffer(horizon, LatePolicy(payload["late_policy"]),
-                                metrics=registry)
-                  if horizon > 0 else None)
-        fault_plan = None
-        if os.environ.get(_PROCESS_FAULT_ENV):
-            # Chaos-suite channel, lazy so production never imports it.
-            from .testing.faults import load_streaming_faults
-            fault_plan = load_streaming_faults(payload.get("keys", ()))
-        engine = LiveBlockEngine(detector, buffer=buffer, drift=drift,
-                                 fault_plan=fault_plan,
-                                 monitor_feed="external",
-                                 advance_every=payload.get("advance_every",
-                                                           0.0))
-        last_seq = -1
-        if resumed and detector.restored_extra:
-            last_seq = int(detector.restored_extra.get("seq", -1))
-            engine.restore(detector.restored_extra, buffer_state=True)
-        checkpoint_seq = last_seq
-        next_checkpoint = (detector.last_time + checkpoint_every
-                           if checkpoint_path else float("inf"))
-
-        conn.send(("hello", {"seq": last_seq, "resumed": resumed}))
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                return  # parent died; nothing sane left to do
-            kind = message[0]
-            if kind == "obs":
-                for row in message[1]:
-                    seq = row[0]
-                    if seq <= last_seq:
-                        continue  # replayed duplicate, already accounted
-                    if row[1] is None:
-                        # Vantage sentinel-bin count from the parent:
-                        # (seq, None, vidx, bin_start, count, front,
-                        # closed).  Feed the whole-tap bin into this
-                        # partition's monitor copy, then close it (the
-                        # end-of-stream partial bin stays open) —
-                        # exactly what a single-process engine's raw
-                        # tap would do at this stream position.
-                        _, _, vidx, bin_start, count, front, closed = row
-                        monitor = detector.monitors[fused_names[vidx]]
-                        if count:
-                            monitor.observe_bulk(bin_start, count)
-                        if closed:
-                            monitor.advance(
-                                bin_start
-                                + monitor.sentinel.config.bin_seconds)
-                        engine.advance_front(front)
-                    elif fusion:
-                        seq, when, fam, source, qtype, front, vidx = row
-                        engine.advance_front(front)
-                        engine.feed(TaggedObservation(
-                            when, Family(fam), source, qtype,
-                            fused_names[vidx]))
-                    else:
-                        seq, when, fam, source, qtype, front = row
-                        engine.advance_front(front)
-                        engine.feed(Observation(when, Family(fam), source,
-                                                qtype))
-                    last_seq = seq
-                    if detector.last_time >= next_checkpoint:
-                        with tracer.span("partition_checkpoint",
-                                         unit=payload["unit"]):
-                            save_checkpoint_rotated(
-                                detector, checkpoint_path, keep=keep,
-                                extra=engine.checkpoint_extra(seq=last_seq))
-                        checkpoint_seq = last_seq
-                        next_checkpoint = (detector.last_time
-                                           + checkpoint_every)
-                heartbeat: Dict[str, Any] = {
-                    "seq": last_seq,
-                    "ckpt_seq": checkpoint_seq,
-                    "watermark": detector.last_time,
-                    "windows": detector.windows_closed,
-                    "swaps": len(detector.retuned),
-                }
-                if ship_telemetry:
-                    metrics_seq += 1
-                    current = registry.snapshot()
-                    heartbeat["metrics_seq"] = metrics_seq
-                    heartbeat["metrics_delta"] = diff_snapshots(
-                        current, metrics_baseline)
-                    metrics_baseline = current
-                if explain.enabled:
-                    fresh = explain.events_since(explain_sent)
-                    if fresh:
-                        heartbeat["explain"] = fresh
-                        explain_sent = fresh[-1]["seq"]
-                conn.send(("hb", heartbeat))
-            elif kind == "finalize":
-                end, windows = float(message[1]), message[2]
-                with tracer.span("partition_finalize",
-                                 unit=payload["unit"], end=end):
-                    engine.flush()
-                    if fusion:
-                        # quarantined=None: the fused detector derives
-                        # the all-dark intersection from its own
-                        # monitors, which hold identical whole-tap
-                        # state in every partition.
-                        results = detector.finalize(end)
-                    else:
-                        results = detector.finalize(
-                            end, quarantined=[(float(s), float(e))
-                                              for s, e in windows])
-                    if checkpoint_path:
-                        save_checkpoint_rotated(
-                            detector, checkpoint_path, keep=keep,
-                            extra=engine.checkpoint_extra(seq=last_seq))
-                document: Dict[str, Any] = {
-                    "index": payload["index"],
-                    "results": [block_result_to_dict(results[key])
-                                for key in sorted(results)],
-                    "health": detector.last_health.as_dict(),
-                    "swaps": sorted(detector.retuned),
-                    "windows": detector.windows_closed,
-                    "metrics": registry.snapshot(),
-                }
-                if ship_telemetry:
-                    metrics_seq += 1
-                    document["metrics_seq"] = metrics_seq
-                    document["metrics_delta"] = diff_snapshots(
-                        document["metrics"], metrics_baseline)
-                if tracer.enabled:
-                    document["spans"] = tracer.export_spans()
-                if explain.enabled:
-                    tail = explain.events_since(explain_sent)
-                    if tail:
-                        document["explain"] = tail
-                if buffer is not None:
-                    stats = buffer.stats
-                    document["reorder"] = {
-                        "out_of_order": stats.out_of_order,
-                        "late_dropped": stats.late_dropped,
-                    }
-                conn.send(("final", document))
-                return
-            elif kind == "shutdown":
-                if checkpoint_path:
-                    save_checkpoint_rotated(
-                        detector, checkpoint_path, keep=keep,
-                        extra=engine.checkpoint_extra(seq=last_seq))
-                conn.send(("bye", {"seq": last_seq}))
-                return
+        _PartitionWorker(payload, conn).run()
+    except (OSError, ValueError) as error:
+        try:
+            conn.send(("error", error))
+        except Exception:
+            pass
     except BaseException as error:  # noqa: BLE001 — verdict must cross
         try:
             conn.send(("fatal", f"{type(error).__name__}: {error}"))
@@ -780,9 +671,294 @@ def _live_worker_entry(payload: Dict[str, Any], conn: Any) -> None:
             pass
 
 
+class _PartitionWorker:
+    """One partition's engine over the whole tap, with its checkpoint
+    cadence, heartbeats and telemetry piggyback."""
+
+    def __init__(self, payload: Dict[str, Any], conn: Any) -> None:
+        self.payload = payload
+        self.conn = conn
+        self.unit = payload["unit"]
+        self.registry = MetricsRegistry()
+        self.tracer = (SpanTracer.from_context(payload.get("trace_ctx"))
+                       if payload.get("traced") else NULL_TRACER)
+        self.explain = (ExplainLog() if payload.get("explain")
+                        else NULL_EXPLAIN)
+        self.ship_telemetry = bool(payload.get("ship_telemetry"))
+        self.checkpoint_path = payload.get("checkpoint")
+        self.keep = int(payload.get("keep", 3))
+        self.checkpoint_every = float(payload.get("checkpoint_every", 3600.0))
+        self.beats = 0
+        self.beat_at = -math.inf
+        self.explain_sent = 0
+        self.stopped = False
+        model = self._model()
+        detector = self._restore(model)
+        resumed = detector is not None
+        if detector is None:
+            detector = self._fresh(model)
+        # The error budget is the parent's verdict over the merged
+        # population; a partition never vetoes its own slice.
+        detector.budget = ErrorBudget(1.0)
+        # Provenance is per-incarnation state (checkpoints do not carry
+        # it): install after restore, same object either way.
+        detector.explain = self.explain
+        horizon = float(payload["horizon"])
+        buffer = (ReorderBuffer(horizon, LatePolicy(payload["late_policy"]),
+                                metrics=self.registry)
+                  if horizon > 0 else None)
+        self.engine = LiveBlockEngine(
+            detector, buffer=buffer, drift=payload.get("drift"),
+            fault_plan=_fault_plan(payload["keys"]),
+            advance_every=payload["advance_every"])
+        self.position = 0
+        if resumed and detector.restored_extra:
+            self.position = int(detector.restored_extra.get("seq", 0))
+            self.engine.restore(detector.restored_extra, buffer_state=True)
+        self.next_checkpoint = (detector.last_time + self.checkpoint_every
+                                if self.checkpoint_path else math.inf)
+        self.tap: Dict[str, Any] = {}
+        conn.send(("hello", {"seq": self.position}))
+
+    # -- model slice --------------------------------------------------------
+
+    def _model(self) -> Any:
+        payload = self.payload
+        family = Family(payload["family"])
+        start = float(payload["start"])
+        fusion = payload.get("fusion")
+        if not fusion:
+            histories, parameters = model_blocks_from_dict(payload["blocks"])
+            return TrainedModel(family=family, histories=histories,
+                                parameters=parameters, train_start=start,
+                                train_end=start)
+        from .fusion import FusedModel
+        sources: Dict[str, TrainedModel] = {}
+        for name in fusion["sources"]:
+            histories, parameters = model_blocks_from_dict(
+                fusion["blocks"][name])
+            train_start, train_end = fusion["train"][name]
+            sources[name] = TrainedModel(
+                family=family, histories=histories, parameters=parameters,
+                train_start=float(train_start), train_end=float(train_end))
+        return FusedModel(family=family, sources=sources,
+                          primary=fusion["primary"])
+
+    def _restore(self, model: Any) -> Optional[StreamingDetector]:
+        if not self.checkpoint_path:
+            return None
+        loader = None
+        if self.payload.get("fusion"):
+            from .fusion import fused_detector_from_json
+            loader = (lambda text: fused_detector_from_json(
+                text, model, metrics=self.registry))
+        try:
+            with self.tracer.span("partition_restore", unit=self.unit):
+                return load_checkpoint_rotated(
+                    self.checkpoint_path, model, metrics=self.registry,
+                    keep=self.keep, loader=loader)
+        except (FileNotFoundError, CheckpointFormatError):
+            return None
+
+    def _fresh(self, model: Any) -> StreamingDetector:
+        start = float(self.payload["start"])
+        if self.payload.get("fusion"):
+            from .fusion import FusedStreamingDetector
+            return FusedStreamingDetector(model, start,
+                                          max_quarantine_frac=1.0,
+                                          metrics=self.registry)
+        sentinel = (VantageSentinel(start, SentinelConfig())
+                    if self.payload.get("sentinel") else None)
+        return StreamingDetector(model.family, model.histories,
+                                 model.parameters, start, sentinel=sentinel,
+                                 max_quarantine_frac=1.0,
+                                 metrics=self.registry)
+
+    # -- the replay ---------------------------------------------------------
+
+    def run(self) -> None:
+        if self.payload.get("fusion"):
+            interrupted = self._replay_fused()
+        else:
+            interrupted = self._replay_single()
+        engine = self.engine
+        detector = engine.detector
+        buffer = engine.buffer
+        self.tap.update(observed=engine.observed,
+                        late_dropped=(buffer.stats.late_dropped
+                                      if buffer is not None else 0))
+        if interrupted:
+            self._save()
+            info = {"seq": self.position}
+            self._piggyback(info)
+            self.conn.send(("bye", info))
+            return
+        end = detector.last_time
+        with self.tracer.span("partition_finalize", unit=self.unit, end=end):
+            results = detector.finalize(end)
+            self._save()
+        sentinel = getattr(detector, "sentinel", None)
+        document: Dict[str, Any] = {
+            "index": self.payload["index"],
+            "results": [block_result_to_dict(results[key])
+                        for key in sorted(results)],
+            "health": detector.last_health.as_dict(),
+            "swaps": sorted(detector.retuned),
+            "windows": detector.windows_closed,
+            "end": end,
+            "front": self._front(),
+            "tap": self.tap,
+            "sentinel_seconds": (sentinel.quarantined_seconds()
+                                 if sentinel is not None else 0.0),
+        }
+        self._piggyback(document)
+        if self.tracer.enabled:
+            document["spans"] = self.tracer.export_spans()
+        self.conn.send(("final", document))
+
+    def _replay_single(self) -> bool:
+        payload = self.payload
+        with CaptureReader(payload["capture"],
+                           tolerant=payload["tolerant"]) as reader:
+
+            def stop() -> bool:
+                self.position = max(self.position, reader.records_read)
+                self._beat()
+                return self._shutdown_requested()
+
+            skipped, _, interrupted = replay_capture(
+                self.engine, reader, until=lambda: self.next_checkpoint,
+                on_cut=self._cut, stop=stop,
+                resume_position=self.position, tracer=self.tracer)
+            if not interrupted:
+                self.position = reader.records_read
+            self.tap.update(read=reader.records_read, skipped=skipped,
+                            stopped_early=reader.stopped_early)
+        return interrupted
+
+    def _replay_fused(self) -> bool:
+        payload = self.payload
+        names = list(payload["fusion"]["sources"])
+        engine = self.engine
+        start = engine.detector.start
+        resume = self.position
+        skipped = read = 0
+        interrupted = False
+        with contextlib.ExitStack() as stack:
+            readers = {
+                name: stack.enter_context(CaptureReader(
+                    payload["capture"][name], tolerant=payload["tolerant"]))
+                for name in names
+            }
+            for observation in _tagged_merge(names, readers):
+                if read % CHUNK_RECORDS == 0:
+                    self.position = max(self.position, read)
+                    self._beat()
+                    if self._shutdown_requested():
+                        interrupted = True
+                        break
+                read += 1
+                if observation.time < start:
+                    skipped += 1
+                    continue
+                if read <= resume:
+                    continue
+                engine.feed(observation)
+                if engine.detector.last_time >= self.next_checkpoint:
+                    self._cut(read)
+            if not interrupted:
+                engine.flush()
+                self.position = read
+            self.tap.update(read=read, skipped=skipped,
+                            stopped_early=any(reader.stopped_early
+                                              for reader in readers.values()))
+        return interrupted
+
+    # -- checkpoints, heartbeats --------------------------------------------
+
+    def _cut(self, position: int) -> None:
+        """The replay reached ``position``: checkpoint there when due."""
+        self.position = max(self.position, position)
+        detector = self.engine.detector
+        if detector.last_time >= self.next_checkpoint:
+            with self.tracer.span("partition_checkpoint", unit=self.unit):
+                self._save()
+            self.next_checkpoint = (detector.last_time
+                                    + self.checkpoint_every)
+            self._beat()
+
+    def _save(self) -> None:
+        if self.checkpoint_path:
+            save_checkpoint_rotated(
+                self.engine.detector, self.checkpoint_path, keep=self.keep,
+                extra=self.engine.checkpoint_extra(seq=self.position))
+
+    def _shutdown_requested(self) -> bool:
+        while not self.stopped and self.conn.poll(0):
+            self.stopped = self.conn.recv()[0] == "shutdown"
+        return self.stopped
+
+    def _beat(self) -> None:
+        now = time.monotonic()
+        if now - self.beat_at < _HEARTBEAT_S:
+            return
+        self.beat_at = now
+        detector = self.engine.detector
+        info: Dict[str, Any] = {
+            "position": self.position,
+            "watermark": detector.last_time,
+            "front": self._front(),
+            "windows": detector.windows_closed,
+            "swaps": len(detector.retuned),
+            "observed": self.engine.observed,
+        }
+        self._piggyback(info)
+        self.conn.send(("hb", info))
+
+    def _front(self) -> float:
+        """The stream front: the newest record time taken in."""
+        buffer = self.engine.buffer
+        return (buffer.front if buffer is not None
+                else self.engine.detector.last_time)
+
+    def _piggyback(self, info: Dict[str, Any]) -> None:
+        """Attach the registry's cumulative snapshot (numbered by
+        ``beat``) and the explain events not yet shipped."""
+        if self.ship_telemetry:
+            self.beats += 1
+            info["beat"] = self.beats
+            info["metrics"] = self.registry.snapshot()
+        if self.explain.enabled:
+            fresh = self.explain.events_since(self.explain_sent)
+            if fresh:
+                info["explain"] = fresh
+                self.explain_sent = fresh[-1]["seq"]
+
+
 # ---------------------------------------------------------------------------
 # parent supervisor
 # ---------------------------------------------------------------------------
+
+
+#: Metric families every partition worker counts identically, because
+#: each one replays the whole tap (records, reorder verdicts, feed and
+#: vantage health).  The merge takes them once, from the lowest-index
+#: partition not lost; every other family is block-scoped and sums.
+_TAP_FAMILIES = frozenset({
+    "stream_observations_total",
+    "stream_clock_seconds",
+    "reorder_records_total",
+    "reorder_buffer_occupancy",
+    "reorder_buffer_occupancy_peak",
+    "sentinel_quarantine_entered_total",
+    "sentinel_quarantine_exited_total",
+    "sentinel_expected_bin_count",
+    "fusion_observations_total",
+    "fusion_source_bins_total",
+    "fusion_source_weight",
+})
+
+_EMPTY_SNAPSHOT: Dict[str, Any] = {"format": SNAPSHOT_FORMAT, "metrics": []}
 
 
 @dataclass
@@ -796,42 +972,27 @@ class _LivePartition:
     process: Any = None
     conn: Any = None
     status: str = "pending"          # pending|running|done|lost|interrupted
-    hello: bool = False
     attempts: List[str] = field(default_factory=list)
-    next_seq: int = 0                # next seq to assign at route time
-    sent_seq: int = -1               # last seq sent to this incarnation
-    acked_seq: int = -1              # last seq the worker heartbeat ack'd
-    ckpt_seq: int = -1               # last seq safely in a checkpoint
+    #: furthest tap position any incarnation reported.
+    position: int = 0
+    observed: int = 0
     watermark: float = 0.0
     windows: int = 0
     swaps: int = 0
-    #: rows not yet covered by a checkpoint: ``(seq, t, fam, src, qt,
-    #: front)``, pruned as ``ckpt_seq`` advances, replayed after a
-    #: restart.
-    replay: Deque[Tuple[int, float, int, int, int, float]] = field(
-        default_factory=deque)
-    #: rows routed but not yet sent to the current worker incarnation
-    #: (rebuilt from ``replay`` after a restart).
-    outbox: Deque[Tuple[int, float, int, int, int, float]] = field(
-        default_factory=deque)
-    #: last seqs of sent-but-unacked batches (backpressure window).
-    unacked: Deque[int] = field(default_factory=deque)
     restart_at: Optional[float] = None
     last_message_at: float = 0.0
-    finalize_sent: bool = False
     document: Optional[Dict[str, Any]] = None
     last_failure: str = "crash"
-    #: last heartbeat metrics-delta sequence folded into the parent
-    #: registry (0 = none yet; the worker numbers deltas from 1), the
-    #: re-delivery guard for the incremental telemetry fold.
+    #: ``beat`` number of the last snapshot folded (0 = none yet).
     folded_metrics_seq: int = 0
-    #: last worker-side explain-event seq folded (same guard shape).
+    #: last worker-side explain-event seq folded (re-delivery guard).
     explain_folded_seq: int = 0
-    #: shadow registry holding exactly what this incarnation's deltas
-    #: contributed to the parent registry — negated on restart so the
-    #: respawned worker (whose first delta re-ships its checkpointed
-    #: state) cannot double-count.
-    shadow: Optional[Any] = None
+    #: latest cumulative registry snapshot the current incarnation sent.
+    snapshot: Optional[Dict[str, Any]] = None
+    #: what this partition now contributes to the parent registry, and
+    #: whether that includes the tap-scoped families.
+    folded: Optional[Dict[str, Any]] = None
+    folded_tap: bool = False
 
     @property
     def failures(self) -> int:
@@ -880,7 +1041,7 @@ class LiveStatus:
     plan_digest: str
     family: int
     start: float
-    #: newest record time routed so far; ``None`` before the first.
+    #: newest record time any worker has pushed; ``None`` before the first.
     stream_front: Optional[float]
     #: slowest non-lost partition watermark (the serving watermark).
     global_watermark: float
@@ -901,17 +1062,23 @@ class LiveStatus:
 
 @dataclass
 class LiveRunResult:
-    """Outcome of one partitioned live run."""
+    """Outcome of one partitioned live run.
+
+    The record counts are the tap's, from the lowest-index partition
+    not lost: ``records_read = skipped + observed + late_dropped`` on a
+    completed run, as single-process ``live`` reports them.
+    """
 
     results: Dict[int, BlockResult]
     health: RunHealthReport
     end: float
     interrupted: bool = False
     degraded: bool = False
-    observed: int = 0                #: records routed to partitions
-    unrouted: int = 0                #: records with no owning partition
+    observed: int = 0                #: tap records observed
+    skipped: int = 0                 #: training-window records skipped
+    late_dropped: int = 0            #: records beyond the reorder horizon
     restarts: int = 0
-    replayed_rows: int = 0           #: rows resent across all restarts
+    replayed_rows: int = 0           #: records re-read after restarts
     records_read: int = 0
     stopped_early: bool = False
     sentinel_windows: List[Tuple[float, float]] = field(default_factory=list)
@@ -923,13 +1090,13 @@ class LivePartitionSupervisor:
     """Coordinate a fleet of partition workers over one live stream.
 
     One instance is one run: construct, :meth:`run`, inspect the
-    returned :class:`LiveRunResult`.  Failure containment follows the
-    batch :class:`~repro.parallel.ShardSupervisor` — crash (silent
-    death), hang (no heartbeat past the deadline while work is
-    outstanding), oom (RSS ceiling) — but recovery is
-    restart-from-checkpoint with gap replay instead of bisection: the
-    stream is unbounded, so "re-run the shard" is not an operation
-    that exists.
+    returned :class:`LiveRunResult`.  The parent never reads the
+    capture: each worker replays it over its own slice.  Failure
+    containment follows the batch :class:`~repro.parallel.ShardSupervisor`
+    — crash (silent death), hang (no message past the deadline), oom
+    (RSS ceiling) — but recovery is restart-from-checkpoint instead of
+    bisection: the stream is unbounded, so "re-run the shard" is not an
+    operation that exists.
     """
 
     def __init__(
@@ -954,7 +1121,6 @@ class LivePartitionSupervisor:
         explain: Optional[Any] = None,
         stop_requested: Optional[Callable[[], bool]] = None,
         status: Optional[Callable[[str], None]] = None,
-        batch_rows: int = _BATCH_ROWS,
     ) -> None:
         if partitions is not None and partitions <= 0:
             raise ValueError("partitions must be positive")
@@ -969,6 +1135,7 @@ class LivePartitionSupervisor:
         self.checkpoint_keep = int(checkpoint_keep)
         self.reorder_horizon = float(reorder_horizon)
         self.late_policy = late_policy
+        self.sentinel = bool(sentinel)
         self.drift = drift
         self.max_quarantine_frac = float(max_quarantine_frac)
         self.fused = hasattr(model, "sources")
@@ -976,7 +1143,7 @@ class LivePartitionSupervisor:
             if sentinel:
                 raise ValueError(
                     "fused live runs monitor every vantage through the "
-                    "fusion layer's own sentinels; the single parent-side "
+                    "fusion layer's own sentinels; the single-source "
                     "sentinel does not apply")
             default_start = model.sources[model.primary].train_end
         else:
@@ -987,7 +1154,6 @@ class LivePartitionSupervisor:
         self.explain = resolve_explain(explain)
         self._stop = stop_requested or (lambda: False)
         self._status = status or (lambda line: None)
-        self._batch_rows = int(batch_rows)
 
         if self.fused:
             from .fusion import build_block_specs
@@ -1027,46 +1193,15 @@ class LivePartitionSupervisor:
             _LivePartition(
                 index=index, unit=f"{index:05d}", keys=list(shard),
                 measurable=[key for key in shard if key in measurable],
-                watermark=self.start,
-                shadow=(MetricsRegistry() if self.metrics.enabled
-                        else None))
+                watermark=self.start)
             for index, shard in enumerate(shards)
         ]
-        self._owner = {key: partition.index
-                       for partition in self.partitions
-                       for key in partition.keys}
-        self._ctx = multiprocessing.get_context("spawn")
-        self._sentinel = (VantageSentinel(self.start, SentinelConfig())
-                          .bind_metrics(self.metrics)
-                          if sentinel else None)
-        # The sentinel judges the same (released, time-sorted) stream
-        # the single-process detector's sentinel sees; metrics are
-        # NULL so this shadow buffer doesn't double the workers'
-        # reorder counters.
-        self._sentinel_buffer = (
-            ReorderBuffer(self.reorder_horizon, self.late_policy,
-                          metrics=NULL_REGISTRY)
-            if sentinel and self.reorder_horizon > 0 else None)
-        self._m_observations = self.metrics.counter(
-            "stream_observations_total",
-            "Observations fed to the streaming detector")
-        # Fused runs: the parent tallies per-vantage arrivals over the
-        # whole tap and ships one count row per closed sentinel bin to
-        # every partition — vantage health is a global property, so
-        # every worker holds the same monitor state.
-        self._fused_names: List[str] = (list(model.source_names)
-                                        if self.fused else [])
+        self._ctx = _child_context()
         self._planned_measurable = len(measurable)
-        self._vbin_seconds = float(SentinelConfig().bin_seconds)
-        self._vbin_start = self.start
-        self._vbin_counts = [0] * len(self._fused_names)
+        self._capture: Any = None
+        self._tolerant = False
         self._front = float("-inf")
-        self._end = self.start
-        self._observed = 0
-        self._unrouted = 0
         self._replayed_rows = 0
-        self._finalize_end: Optional[float] = None
-        self._finalize_windows: List[Tuple[float, float]] = []
         self._run_status = "running"
         self._manifest_written_at = 0.0
         self.manifest_path = (
@@ -1074,6 +1209,13 @@ class LivePartitionSupervisor:
             if checkpoint_dir else None)
 
     # -- status / manifest --------------------------------------------------
+
+    def _tap_source(self) -> Optional[_LivePartition]:
+        """The lowest-index partition not lost: the one whose tap-scoped
+        counts (records, reorder verdicts, feed and vantage health)
+        stand for the run."""
+        return next((p for p in self.partitions if p.status != "lost"),
+                    None)
 
     def live_status(self) -> LiveStatus:
         """Point-in-time :class:`LiveStatus` snapshot of the run.
@@ -1088,6 +1230,7 @@ class LivePartitionSupervisor:
         front = self._front
         watermarks = [p.watermark for p in self.partitions
                       if p.status != "lost"]
+        source = self._tap_source()
         return LiveStatus(
             status=self._run_status,
             plan_digest=self.digest,
@@ -1096,7 +1239,7 @@ class LivePartitionSupervisor:
             stream_front=None if front == float("-inf") else front,
             global_watermark=(min(watermarks) if watermarks
                               else self.start),
-            observed=self._observed,
+            observed=source.observed if source is not None else 0,
             restarts=sum(p.failures for p in self.partitions),
             partitions=tuple(
                 LivePartitionStatus(
@@ -1195,27 +1338,29 @@ class LivePartitionSupervisor:
             "keys": list(partition.keys),
             "family": int(self.model.family),
             "start": self.start,
+            "capture": self._capture,
+            "tolerant": self._tolerant,
             "horizon": self.reorder_horizon,
             "late_policy": self.late_policy.value,
+            "sentinel": self.sentinel,
             "drift": self.drift,
             "advance_every": self.advance_every,
             "checkpoint": (partition.checkpoint_file(self.checkpoint_dir)
                            if self.checkpoint_dir else None),
             "checkpoint_every": self.checkpoint_every,
             "keep": self.checkpoint_keep,
-            "resume": True,
             "ship_telemetry": self.metrics.enabled,
             "traced": self.tracer.enabled,
             "trace_ctx": self.tracer.context(),
             "explain": self.explain.enabled,
         }
+        keys = set(partition.keys)
         if self.fused:
             # Per-source model slices restricted to this partition's
             # keys; the worker reassembles a FusedModel and re-derives
             # its block specs (specs are deterministic derived state).
-            keys = set(partition.keys)
             payload["fusion"] = {
-                "sources": list(self._fused_names),
+                "sources": list(self.model.source_names),
                 "primary": self.model.primary,
                 "train": {
                     name: [source.train_start, source.train_end]
@@ -1231,24 +1376,23 @@ class LivePartitionSupervisor:
                 },
             }
         else:
-            histories = {key: self.model.histories[key]
-                         for key in partition.keys
-                         if key in self.model.histories}
-            parameters = {key: self.model.parameters[key]
-                          for key in partition.keys}
-            payload["blocks"] = model_blocks_to_dict(histories, parameters)
+            payload["blocks"] = model_blocks_to_dict(
+                {key: self.model.histories[key]
+                 for key in partition.keys if key in self.model.histories},
+                {key: self.model.parameters[key] for key in partition.keys})
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # The chaos channel is read here, at each launch: a forkserver
+        # child inherits the server's environment, frozen at its start.
         process = self._ctx.Process(
-            target=_live_worker_entry, args=(payload, child_conn),
+            target=_live_worker_entry,
+            args=(payload, child_conn, os.environ.get(_PROCESS_FAULT_ENV)),
             daemon=True)
         process.start()
         child_conn.close()
         partition.process = process
         partition.conn = parent_conn
         partition.status = "running"
-        partition.hello = False
         partition.restart_at = None
-        partition.unacked.clear()
         partition.last_message_at = time.monotonic()
         self._write_manifest()
 
@@ -1271,22 +1415,7 @@ class LivePartitionSupervisor:
     def _fail(self, partition: _LivePartition, outcome: str) -> None:
         self._kill(partition)
         partition.attempts.append(outcome)
-        partition.hello = False
-        partition.finalize_sent = False
-        partition.unacked.clear()
-        partition.outbox.clear()  # rebuilt from replay at the next hello
         partition.last_failure = outcome
-        if partition.shadow is not None and partition.folded_metrics_seq:
-            # Retract the dead incarnation's folded heartbeat deltas:
-            # its replacement restores from a checkpoint *older* than
-            # the last heartbeat, so its first delta re-ships state the
-            # registry already counted.  The shadow holds exactly what
-            # was folded, so subtracting it leaves the registry as if
-            # this incarnation had never reported.
-            self.metrics.merge_snapshot(
-                negate_snapshot(partition.shadow.snapshot()))
-            partition.shadow = MetricsRegistry()
-        partition.folded_metrics_seq = 0
         # Explain events are an audit trail, not a counter: replayed
         # decisions after the restart are recorded again (both
         # sightings visible) rather than risking silent drops.
@@ -1307,8 +1436,9 @@ class LivePartitionSupervisor:
                          f"{self.policy.max_attempts})")
         else:
             partition.status = "lost"
-            partition.replay.clear()
-            partition.outbox.clear()
+            # Retract its counts; the next partition may now speak for
+            # the tap.
+            self._fold_metrics(partition)
             self._status(f"partition {partition.unit} lost after "
                          f"{len(partition.attempts)} attempts "
                          f"[{','.join(partition.attempts)}]; its blocks "
@@ -1318,87 +1448,69 @@ class LivePartitionSupervisor:
     # -- message plumbing ---------------------------------------------------
 
     def _handle(self, partition: _LivePartition,
-                message: Tuple[Any, ...]) -> None:
-        kind = message[0]
+                message: Tuple[Any, Any]) -> None:
+        kind, info = message
         partition.last_message_at = time.monotonic()
         if kind == "hello":
-            info = message[1]
-            resumed_seq = int(info.get("seq", -1))
-            partition.hello = True
-            partition.sent_seq = resumed_seq
-            partition.acked_seq = resumed_seq
-            partition.ckpt_seq = max(partition.ckpt_seq, resumed_seq)
-            while (partition.replay
-                   and partition.replay[0][0] <= partition.ckpt_seq):
-                partition.replay.popleft()
-            # Everything past the worker's checkpointed cursor is the
-            # gap it missed: resend exactly that, nothing else.
-            partition.outbox = deque(row for row in partition.replay
-                                     if row[0] > resumed_seq)
             if partition.attempts:
-                self._replayed_rows += len(partition.outbox)
+                # A restarted worker re-reads from its checkpoint up to
+                # where the fleet had read.
+                front = max(p.position for p in self.partitions)
+                self._replayed_rows += max(0, front - int(info["seq"]))
         elif kind == "hb":
-            info = message[1]
-            partition.acked_seq = int(info["seq"])
-            partition.ckpt_seq = max(partition.ckpt_seq,
-                                     int(info["ckpt_seq"]))
+            partition.position = max(partition.position,
+                                     int(info["position"]))
+            partition.observed = int(info["observed"])
             partition.watermark = float(info["watermark"])
             partition.windows = int(info["windows"])
             partition.swaps = int(info["swaps"])
-            while (partition.unacked
-                   and partition.unacked[0] <= partition.acked_seq):
-                partition.unacked.popleft()
-            while (partition.replay
-                   and partition.replay[0][0] <= partition.ckpt_seq):
-                partition.replay.popleft()
+            self._front = max(self._front, float(info["front"]))
             self._fold_piggyback(partition, info)
             self._write_manifest()
         elif kind == "final":
-            partition.document = message[1]
-            self._fold_piggyback(partition, message[1])
+            partition.document = info
+            self._fold_piggyback(partition, info)
             partition.attempts.append("ok")
             partition.status = "done"
-            partition.watermark = (self._finalize_end
-                                   if self._finalize_end is not None
-                                   else partition.watermark)
-            partition.windows = int(message[1].get("windows",
-                                                   partition.windows))
-            partition.swaps = len(message[1].get("swaps", []))
+            partition.observed = int(info["tap"]["observed"])
+            partition.watermark = float(info["end"])
+            self._front = max(self._front, float(info["front"]))
+            partition.windows = int(info["windows"])
+            partition.swaps = len(info["swaps"])
             if partition.process is not None:
                 partition.process.join(1.0)
             self._kill(partition)
             self._write_manifest(force=True)
         elif kind == "bye":
+            self._fold_piggyback(partition, info)
             partition.status = "interrupted"
             if partition.process is not None:
                 partition.process.join(1.0)
             self._kill(partition)
+        elif kind == "error":
+            # A capture error: every worker reads the same tap, so this
+            # is the run's error, raised as single-process live does.
+            raise info
         elif kind == "fatal":
             # An escaping worker exception is a harness bug: retrying
             # deterministic code on the same replay would fail the same
             # way, so propagate instead of burning the restart budget.
             raise ShardWorkerError(
-                f"live partition {partition.unit} worker raised: "
-                f"{message[1]}")
+                f"live partition {partition.unit} worker raised: {info}")
 
     def _fold_piggyback(self, partition: _LivePartition,
                         info: Dict[str, Any]) -> None:
         """Fold a heartbeat's (or final document's) piggybacked telemetry.
 
-        Metric deltas fold into the parent registry (and the
-        partition's shadow, for restart rollback) guarded by the
-        worker's monotone ``metrics_seq`` — a re-delivered delta is a
-        no-op, which is the idempotence contract.  Explain events fold
-        guarded by their own seq.
+        The registry snapshot is cumulative, so folding it by difference
+        is idempotent: a re-delivered heartbeat changes nothing.
+        Explain events fold guarded by their seq.
         """
-        seq = int(info.get("metrics_seq", 0))
-        if seq > partition.folded_metrics_seq:
-            delta = info.get("metrics_delta")
-            if delta is not None and self.metrics.enabled:
-                self.metrics.merge_snapshot(delta)
-                if partition.shadow is not None:
-                    partition.shadow.merge_snapshot(delta)
-            partition.folded_metrics_seq = seq
+        snapshot = info.get("metrics")
+        if snapshot is not None and self.metrics.enabled:
+            partition.snapshot = snapshot
+            partition.folded_metrics_seq = int(info.get("beat", 0))
+            self._fold_metrics(partition)
         events = info.get("explain")
         if events:
             fresh = [event for event in events
@@ -1409,58 +1521,33 @@ class LivePartitionSupervisor:
                 if self.explain.enabled:
                     self.explain.extend(fresh)
 
-    def _pump(self, partition: _LivePartition) -> None:
-        """Send pending rows (and a due finalize) to a worker."""
-        if (partition.status != "running" or not partition.hello
-                or partition.conn is None):
-            return
-        try:
-            while (partition.outbox
-                   and len(partition.unacked) < _MAX_INFLIGHT_BATCHES):
-                batch = []
-                while partition.outbox and len(batch) < self._batch_rows:
-                    batch.append(partition.outbox.popleft())
-                partition.conn.send(("obs", batch))
-                partition.sent_seq = batch[-1][0]
-                partition.unacked.append(partition.sent_seq)
-            if (self._finalize_end is not None
-                    and not partition.finalize_sent
-                    and not partition.outbox):
-                # Pipe FIFO ordering guarantees the worker sees every
-                # routed row before the finalize cut.
-                partition.conn.send(("finalize", self._finalize_end,
-                                     self._finalize_windows))
-                partition.finalize_sent = True
-        except OSError:
-            # The worker died between the liveness verdict and this
-            # send.  Judge it here instead of crashing the supervisor:
-            # every unacked row (including a half-sent batch) is still
-            # in ``replay``, so the restart rebuilds the outbox intact.
-            self._fail(partition, "crash")
+    def _drain(self, partition: _LivePartition) -> None:
+        """Handle every message the worker has sent; a closed pipe ends
+        the drain (the liveness verdict judges the worker)."""
+        while partition.conn is not None:
+            try:
+                if not partition.conn.poll(0):
+                    return
+                message = partition.conn.recv()
+            except (EOFError, OSError):
+                return
+            self._handle(partition, message)
 
     def _service(self) -> None:
-        """One supervision pass: drain, judge, respawn, pump."""
+        """One supervision pass: drain, judge, respawn."""
         now = time.monotonic()
         for partition in self.partitions:
             if partition.status == "running" and partition.conn is not None:
                 # Drain the pipe before the liveness verdict, so a
                 # worker that finished and exited still delivers.
-                try:
-                    while (partition.conn is not None
-                           and partition.conn.poll(0)):
-                        self._handle(partition, partition.conn.recv())
-                except (EOFError, OSError):
-                    pass
+                self._drain(partition)
                 if partition.status != "running":
                     continue
                 if (partition.process is not None
                         and not partition.process.is_alive()):
                     self._fail(partition, "crash")
                     continue
-                outstanding = (bool(partition.unacked)
-                               or (partition.finalize_sent
-                                   and partition.document is None))
-                if (self.policy.timeout is not None and outstanding
+                if (self.policy.timeout is not None
                         and now - partition.last_message_at
                         > self.policy.timeout):
                     self._fail(partition, "hang")
@@ -1475,32 +1562,45 @@ class LivePartitionSupervisor:
                     and partition.restart_at is not None
                     and now >= partition.restart_at):
                 self._spawn(partition)
-            self._pump(partition)
+
+    def _wait(self) -> None:
+        """Sleep until a worker speaks or dies, or a poll interval."""
+        # Imported here: single-process live never needs it.
+        from multiprocessing.connection import wait as wait_for_any
+
+        handles = [handle for p in self.partitions
+                   if p.status == "running" and p.conn is not None
+                   for handle in (p.conn, p.process.sentinel)]
+        if handles:
+            wait_for_any(handles, timeout=self.policy.poll_interval)
+        else:
+            time.sleep(self.policy.poll_interval)
 
     # -- the run ------------------------------------------------------------
 
     def run(self, capture: Any, tolerant: bool = False) -> LiveRunResult:
-        """Stream ``capture`` through the partition fleet and merge.
+        """Replay ``capture`` through the partition fleet and merge.
 
         For a fused model ``capture`` is a mapping ``{source name:
-        capture path}`` with one entry per vantage; the per-vantage
-        streams are merged by timestamp, exactly the stream a fused
-        single-process engine would see on one tagged tap.  A record
-        past ``start`` with a NaN or infinite time raises
-        :class:`~repro.telescope.capture.NonFiniteTimestampError`,
-        naming its capture record, instead of reaching a worker; so,
-        with no reorder horizon, does one behind the stream front
-        (:class:`ValueError`, as the single-process detector raises).
+        capture path}`` with one entry per vantage; every worker merges
+        them by timestamp, exactly the stream a fused single-process
+        engine sees on one tagged tap.  Capture errors (a NaN or
+        infinite time past ``start``, a record behind the stream front
+        with no reorder horizon, a corrupt frame when not ``tolerant``)
+        raise here as single-process ``live`` raises them.
         """
         if self.fused:
             if not isinstance(capture, Mapping):
                 raise TypeError("a fused live run takes a mapping of "
                                 "{source name: capture path}")
-            missing = [name for name in self._fused_names
+            missing = [name for name in self.model.source_names
                        if name not in capture]
             if missing:
                 raise ValueError("no capture for vantage(s): "
                                  + ", ".join(sorted(missing)))
+            capture = dict(capture)
+        self._capture = capture
+        self._tolerant = bool(tolerant)
         # Dispatch under an open span so every worker's trace context
         # names it as the cross-process parent.
         with self.tracer.span("partition_dispatch",
@@ -1509,62 +1609,14 @@ class LivePartitionSupervisor:
                 self._spawn(partition)
         self._write_manifest(force=True)
         interrupted = False
-        records_read = 0
-        stopped_early = False
-        records = 0
         try:
-            with contextlib.ExitStack() as stack:
-                if self.fused:
-                    readers = {
-                        name: stack.enter_context(
-                            CaptureReader(capture[name], tolerant=tolerant))
-                        for name in self._fused_names
-                    }
-                    stream = _merge_readers(self._fused_names, readers)
-                else:
-                    reader = stack.enter_context(
-                        CaptureReader(capture, tolerant=tolerant))
-                    stream = ((None, observation) for observation in reader)
-                for vidx, observation in stream:
-                    if self._stop():
-                        interrupted = True
-                        break
-                    when = observation.time
-                    if not math.isfinite(when) and not when < self.start:
-                        # Rejected here, where the record's place in its
-                        # file is known; routed on, it would fail inside
-                        # a worker as a harness error.
-                        if vidx is None:
-                            raise NonFiniteTimestampError(
-                                reader.records_read - 1, when)
-                        name = self._fused_names[vidx]
-                        raise NonFiniteTimestampError(
-                            readers[name].records_read - 1, when, name)
-                    if (when < self._front - 1e-9 and when >= self.start
-                            and not self.reorder_horizon):
-                        # Without a reorder buffer a worker would raise
-                        # this as a harness error; say it here, as the
-                        # single-process detector does.
-                        raise ValueError(f"stream went backwards: {when} "
-                                         f"after {self._front}")
-                    if vidx is None:
-                        self._route(observation)
-                    else:
-                        self._route_fused(vidx, observation)
-                    records += 1
-                    if records % 64 == 0:
-                        self._service()
-                if self.fused:
-                    records_read = sum(r.records_read
-                                       for r in readers.values())
-                    stopped_early = any(r.stopped_early
-                                        for r in readers.values())
-                else:
-                    records_read = reader.records_read
-                    stopped_early = reader.stopped_early
-            if not interrupted:
-                self._finalize()
-                interrupted = self._stop()
+            while any(p.status in ("running", "pending")
+                      for p in self.partitions):
+                if self._stop():
+                    interrupted = True
+                    break
+                self._service()
+                self._wait()
         except BaseException:
             # Capture errors and worker-propagated ShardWorkerError
             # alike: tear the fleet down hard, then let the caller see
@@ -1577,138 +1629,15 @@ class LivePartitionSupervisor:
         with self.tracer.span("partition_merge",
                               partitions=len(self.partitions)):
             result = self._merge(interrupted)
-        result.records_read = records_read
-        result.stopped_early = stopped_early
         for partition in self.partitions:
             self._kill(partition)
         return result
-
-    def _route(self, observation: Observation) -> None:
-        when = observation.time
-        if when < self.start:
-            return  # training-window traffic, not live
-        front_before = self._front
-        self._front = max(self._front, when)
-        self._end = max(self._end, when)
-        if self._sentinel is not None:
-            if self._sentinel_buffer is not None:
-                for ready in self._sentinel_buffer.push(observation):
-                    self._sentinel.observe(ready.time)
-            else:
-                self._sentinel.observe(when)
-        index = (self._owner.get(observation.block_key)
-                 if observation.family is self.model.family else None)
-        if index is None:
-            # The single-process detector counts (and ignores) records
-            # it has no block for; count them here so the merged
-            # counter matches.
-            self._unrouted += 1
-            self._m_observations.inc()
-            return
-        partition = self.partitions[index]
-        if partition.status == "lost":
-            return
-        row = (partition.next_seq, when, int(observation.family),
-               observation.source, observation.qtype, front_before)
-        partition.next_seq += 1
-        partition.replay.append(row)
-        partition.outbox.append(row)
-        self._observed += 1
-        if len(partition.outbox) >= self._batch_rows:
-            self._pump(partition)
-
-    def _route_fused(self, vidx: int, observation: Observation) -> None:
-        """Route one tagged record; ship vantage-bin closes in-band.
-
-        Mirrors the single-process fused engine exactly: monitors see
-        the *raw* tap (every record at or past ``start``, routable or
-        not), and a sentinel bin closes the moment the raw stream
-        reaches ``bin_start + bin_seconds`` — before the record that
-        crossed the boundary is observed.  The count rows are
-        sequence-numbered into every partition's stream, so replay
-        after a restart reconstructs monitor state bit-for-bit.
-        """
-        when = observation.time
-        if when < self.start:
-            return  # training-window traffic, not live
-        front_before = self._front
-        while self._vbin_start + self._vbin_seconds <= when:
-            for source_index, count in enumerate(self._vbin_counts):
-                self._broadcast_vbin(source_index, self._vbin_start, count,
-                                     front_before)
-            self._vbin_counts = [0] * len(self._vbin_counts)
-            self._vbin_start += self._vbin_seconds
-        self._vbin_counts[vidx] += 1
-        self._front = max(self._front, when)
-        self._end = max(self._end, when)
-        index = (self._owner.get(observation.block_key)
-                 if observation.family is self.model.family else None)
-        if index is None:
-            self._unrouted += 1
-            self._m_observations.inc()
-            return
-        partition = self.partitions[index]
-        if partition.status == "lost":
-            return
-        row = (partition.next_seq, when, int(observation.family),
-               observation.source, observation.qtype, front_before, vidx)
-        partition.next_seq += 1
-        partition.replay.append(row)
-        partition.outbox.append(row)
-        self._observed += 1
-        if len(partition.outbox) >= self._batch_rows:
-            self._pump(partition)
-
-    def _broadcast_vbin(self, vidx: int, bin_start: float, count: int,
-                        front: float, closed: bool = True) -> None:
-        """Ship one vantage-sentinel bin count to every live partition.
-
-        Zero-count closed bins are shipped too — an empty bin *is* the
-        blind-vantage signal the monitors exist to catch.  The
-        end-of-stream partial bin goes out with ``closed=False``: its
-        arrivals count, but the bin stays open, exactly as in a
-        single-process engine whose raw tap simply stopped.
-        """
-        for partition in self.partitions:
-            if partition.status == "lost":
-                continue
-            row = (partition.next_seq, None, vidx, bin_start, count, front,
-                   closed)
-            partition.next_seq += 1
-            partition.replay.append(row)
-            partition.outbox.append(row)
-            if len(partition.outbox) >= self._batch_rows:
-                self._pump(partition)
-
-    def _finalize(self) -> None:
-        if self._sentinel is not None:
-            if self._sentinel_buffer is not None:
-                for ready in self._sentinel_buffer.flush():
-                    self._sentinel.observe(ready.time)
-            self._sentinel.advance(self._end)
-            self._finalize_windows = self._sentinel.quarantined_intervals()
-        if self.fused:
-            for vidx, count in enumerate(self._vbin_counts):
-                if count:
-                    self._broadcast_vbin(vidx, self._vbin_start, count,
-                                         self._front, closed=False)
-            self._vbin_counts = [0] * len(self._vbin_counts)
-        self._finalize_end = self._end
-        while any(p.status in ("running", "pending")
-                  for p in self.partitions):
-            if self._stop():
-                return
-            self._service()
-            if any(p.status in ("running", "pending")
-                   for p in self.partitions):
-                time.sleep(self.policy.poll_interval)
 
     def _shutdown_fleet(self) -> None:
         """Graceful stop: ask every live worker to checkpoint and exit."""
         deadline = time.monotonic() + 5.0
         for partition in self.partitions:
-            if (partition.status == "running" and partition.hello
-                    and partition.conn is not None):
+            if partition.status == "running" and partition.conn is not None:
                 try:
                     partition.conn.send(("shutdown",))
                 except (OSError, ValueError):
@@ -1719,14 +1648,12 @@ class LivePartitionSupervisor:
                 if partition.status != "running" or partition.conn is None:
                     continue
                 try:
-                    while (partition.conn is not None
-                           and partition.conn.poll(0)):
-                        # "bye" flips the partition to interrupted; a
-                        # "final" that races the shutdown still counts.
-                        self._handle(partition, partition.conn.recv())
-                except (EOFError, OSError, ShardWorkerError):
+                    # "bye" flips the partition to interrupted; a
+                    # "final" that races the shutdown still counts.
+                    self._drain(partition)
+                except (OSError, ValueError, ShardWorkerError):
                     partition.status = "interrupted"
-            time.sleep(self.policy.poll_interval)
+            self._wait()
         for partition in self.partitions:
             if partition.status == "running":
                 partition.status = "interrupted"
@@ -1734,8 +1661,40 @@ class LivePartitionSupervisor:
 
     # -- merging ------------------------------------------------------------
 
+    def _fold_metrics(self, changed: _LivePartition) -> None:
+        """Bring the registry to every partition's latest cumulative
+        snapshot, by difference.
+
+        A partition contributes its block-scoped families; the tap
+        source (:meth:`_tap_source`) contributes the tap-scoped ones
+        (:data:`_TAP_FAMILIES`) too.  Only ``changed`` and partitions
+        whose tap role moved are refolded.  A restarted incarnation's
+        first snapshot (restored from its checkpoint) rolls back what
+        its predecessor counted past that checkpoint; a lost partition
+        contributes nothing, and its successor takes over the tap.
+        """
+        source = self._tap_source()
+        for partition in self.partitions:
+            tap = partition is source
+            if partition is not changed and tap == partition.folded_tap:
+                continue
+            current = (None if partition.status == "lost"
+                       else partition.snapshot)
+            if current is not None and not tap:
+                current = dict(current, metrics=[
+                    entry for entry in current["metrics"]
+                    if entry["name"] not in _TAP_FAMILIES])
+            self.metrics.merge_snapshot(diff_snapshots(
+                current or _EMPTY_SNAPSHOT, partition.folded))
+            partition.folded, partition.folded_tap = current, tap
+
     def _merge_fused_sources(self, documents: List[Dict[str, Any]]
                              ) -> Dict[str, SourceHealth]:
+        """Vantage health, merged by the same rule as the metrics: every
+        fused worker holds a whole-tap copy of each vantage's monitor,
+        so vantage-level fields come from the first document (the tap
+        source's) and per-partition accounting (gated bins, measurable
+        blocks) sums."""
         sources: Dict[str, SourceHealth] = {}
         for document in documents:
             for name, entry in document["health"].get("sources",
@@ -1764,37 +1723,17 @@ class LivePartitionSupervisor:
             run="fusion-stream" if self.fused else "streaming",
             max_quarantine_frac=self.max_quarantine_frac)
         if self.fused and documents:
-            # Every fused partition holds an identical whole-tap copy
-            # of each vantage's monitor, so the generic merge summed
-            # the same observation/bin counters once per partition.
-            # Rebuild: vantage-level fields from the first document,
-            # per-partition accounting (gated bins, measurable blocks)
-            # summed across documents.
             merged.sources = self._merge_fused_sources(documents)
         if self.tracer.enabled:
             for document in documents:
                 self.tracer.import_spans(document.get("spans"))
-        folded = any(p.folded_metrics_seq for p in self.partitions)
         if self.metrics.enabled:
-            for partition in self.partitions:
-                document = partition.document
-                if document is None or partition.folded_metrics_seq:
-                    # Nothing delivered, or this partition's counters
-                    # arrived incrementally (heartbeat deltas plus the
-                    # final delta) — the registry is already current,
-                    # folding the full snapshot would double it.
-                    continue
-                snapshot = document.get("metrics")
-                if snapshot is not None:
-                    self.metrics.merge_snapshot(snapshot)
-                    folded = True
+            # Worker snapshots already count the dead letters and trips.
+            folded = any(p.folded is not None for p in self.partitions)
             merged.dead_letters.bind(dead_letter_metric(self.metrics),
                                      backfill=not folded)
             merged.guardrails.bind(guardrail_metric(self.metrics),
                                    backfill=not folded)
-        if self._sentinel is not None:
-            merged.sentinel_windows = sorted(
-                set(tuple(window) for window in self._finalize_windows))
 
         planned = self._planned_measurable
         lost_errors: Dict[int, BaseException] = {}
@@ -1826,15 +1765,22 @@ class LivePartitionSupervisor:
                             else "degraded" if degraded else "finalized")
         self._write_manifest(force=True)
 
+        source = self._tap_source()
+        document = (source.document if source is not None else None) or {}
+        tap = document.get("tap", {})
         result = LiveRunResult(
-            results=results, health=merged, end=self._end,
+            results=results, health=merged,
+            end=source.watermark if source is not None else self.start,
             interrupted=interrupted, degraded=degraded,
-            observed=self._observed, unrouted=self._unrouted,
+            observed=source.observed if source is not None else 0,
+            skipped=int(tap.get("skipped", 0)),
+            late_dropped=int(tap.get("late_dropped", 0)),
             restarts=sum(p.failures for p in self.partitions),
             replayed_rows=self._replayed_rows,
+            records_read=int(tap.get("read", 0)),
+            stopped_early=bool(tap.get("stopped_early", False)),
             sentinel_windows=list(merged.sentinel_windows),
-            sentinel_seconds=(self._sentinel.quarantined_seconds()
-                              if self._sentinel is not None else 0.0),
+            sentinel_seconds=float(document.get("sentinel_seconds", 0.0)),
             manifest_path=self.manifest_path)
         if not interrupted:
             # The parent owns the budget verdict over the merged
@@ -1847,48 +1793,6 @@ class LivePartitionSupervisor:
                 error.report = merged
                 raise
         return result
-
-
-def _merge_readers(names: List[str],
-                   readers: Mapping[str, CaptureReader]):
-    """Time-merge per-vantage capture readers into ``(vidx, obs)`` rows.
-
-    Ties break by vantage order then arrival position, so the merged
-    order is a pure function of the capture files — both deployment
-    shapes iterate the identical stream.
-    """
-    def stream(vidx: int, reader: CaptureReader):
-        for position, observation in enumerate(reader):
-            yield (observation.time, vidx, position, observation)
-
-    merged = heapq.merge(*(stream(vidx, readers[name])
-                           for vidx, name in enumerate(names)))
-    for _, vidx, _, observation in merged:
-        yield vidx, observation
-
-
-def merge_tagged_captures(captures: Mapping[str, str],
-                          order: Optional[List[str]] = None,
-                          tolerant: bool = False):
-    """Yield the time-merged union of per-vantage captures, tagged.
-
-    The single-process fused ingest: each record comes back as a
-    :class:`~repro.telescope.records.TaggedObservation` carrying its
-    vantage name, so feeding the result through a
-    :class:`LiveBlockEngine` over a fused detector consumes exactly
-    the stream the partitioned supervisor ships to its fleet.
-    """
-    names = list(order) if order is not None else sorted(captures)
-    with contextlib.ExitStack() as stack:
-        readers = {
-            name: stack.enter_context(
-                CaptureReader(captures[name], tolerant=tolerant))
-            for name in names
-        }
-        for vidx, observation in _merge_readers(names, readers):
-            yield TaggedObservation(observation.time, observation.family,
-                                    observation.source, observation.qtype,
-                                    names[vidx])
 
 
 def run_partitioned_live(model: TrainedModel, capture: Any,

@@ -33,7 +33,6 @@ from .metrics import (
     diff_snapshots,
     get_registry,
     log_spaced_buckets,
-    negate_snapshot,
     render_snapshot,
     resolve_registry,
     set_registry,
@@ -62,7 +61,6 @@ __all__ = [
     "log_spaced_buckets",
     "render_snapshot",
     "diff_snapshots",
-    "negate_snapshot",
     "DEFAULT_SECONDS_BUCKETS",
     "Span",
     "SpanTracer",

@@ -63,7 +63,6 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "GAUGE_MERGE_POLICIES",
     "diff_snapshots",
-    "negate_snapshot",
     "PROMETHEUS_CONTENT_TYPE",
 ]
 
@@ -744,111 +743,69 @@ def diff_snapshots(current: Dict[str, Any],
                    previous: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """``current - previous`` as a mergeable incremental snapshot.
 
-    This is the heartbeat-piggyback encoding: a worker snapshots its
-    registry each heartbeat and ships only the *delta* since the last
-    one, so the parent can fold it with :meth:`MetricsRegistry.
-    merge_snapshot` without ever double-counting.  Counter values and
-    histogram bucket counts / sum / count subtract; gauges always carry
-    their current reading (they are last-value, not cumulative — there
-    is nothing to subtract).  Series whose cumulative delta is zero are
-    dropped, as are families left with no series, so an idle worker's
-    heartbeat costs a few bytes.  ``previous=None`` yields ``current``
-    itself (the first heartbeat ships the whole state).
+    The cross-process fold: a supervisor keeps what it last folded of a
+    worker's cumulative snapshot and merges the difference with
+    :meth:`MetricsRegistry.merge_snapshot`, so re-folding the same
+    snapshot is a no-op.  Counter values and histogram bucket counts /
+    sum / count subtract; gauges always carry their current reading
+    (they are last-value, not cumulative — there is nothing to
+    subtract).  Series and families that ``previous`` has and
+    ``current`` lacks come back negated (gauges and histogram min/max
+    excepted), so ``diff_snapshots(empty, s)`` retracts ``s``.  Series
+    whose delta is zero are dropped, as are families left with no
+    series.  ``previous=None`` yields ``current`` itself.
 
     Deltas may legitimately go *negative* — a worker restarted from a
-    checkpoint older than its last heartbeat re-counts the replayed
-    rows, and the supervisor first retracts the dead incarnation's
-    fold — which is why :meth:`merge_snapshot` adds counters without a
-    sign check.
+    checkpoint older than its last report re-counts the replayed
+    stretch — which is why :meth:`merge_snapshot` adds counters without
+    a sign check.
     """
-    if current.get("format") != SNAPSHOT_FORMAT:
-        raise ValueError(
-            f"not a {SNAPSHOT_FORMAT} snapshot: {current.get('format')!r}")
+    for snapshot in (current, previous):
+        if snapshot is not None and snapshot.get("format") != SNAPSHOT_FORMAT:
+            raise ValueError(
+                f"not a {SNAPSHOT_FORMAT} snapshot: "
+                f"{snapshot.get('format')!r}")
     if previous is None:
         return current
-    if previous.get("format") != SNAPSHOT_FORMAT:
-        raise ValueError(
-            f"not a {SNAPSHOT_FORMAT} snapshot: {previous.get('format')!r}")
+    now = {entry["name"]: entry for entry in current.get("metrics", [])}
     before = {entry["name"]: entry
               for entry in previous.get("metrics", [])}
     metrics: List[Dict[str, Any]] = []
-    for entry in current.get("metrics", []):
+    for name in list(now) + [name for name in before if name not in now]:
+        entry = now.get(name) or before[name]
         kind = entry["type"]
-        prior = _series_index(before.get(entry["name"], {}))
+        rows = _series_index(now.get(name, {}))
+        prior = _series_index(before.get(name, {}))
         series: List[Dict[str, Any]] = []
-        for row in entry.get("series", []):
+        for labels in list(rows) + [key for key in prior if key not in rows]:
+            row, base = rows.get(labels), prior.get(labels)
             if kind == "gauge":
-                series.append(dict(row))
+                if row is not None:
+                    series.append(dict(row))
                 continue
-            base = prior.get(tuple(row.get("labels", ())))
             if kind == "counter":
-                delta = row["value"] - (base["value"] if base else 0)
+                delta = ((row["value"] if row else 0)
+                         - (base["value"] if base else 0))
                 if delta:
-                    series.append({"labels": list(row["labels"]),
-                                   "value": delta})
+                    series.append({"labels": list(labels), "value": delta})
                 continue
-            counts = list(row["bucket_counts"])
-            if base is not None:
-                counts = [a - b for a, b
-                          in zip(counts, base["bucket_counts"])]
+            empty = {"bucket_counts": [0] * len((row or base)
+                                                ["bucket_counts"]),
+                     "sum": 0.0, "count": 0, "min": None, "max": None}
+            row, base = row or empty, base or empty
+            counts = [a - b for a, b
+                      in zip(row["bucket_counts"], base["bucket_counts"])]
             if not any(counts):
                 continue
             series.append({
-                "labels": list(row["labels"]),
+                "labels": list(labels),
                 "bucket_counts": counts,
-                "sum": row["sum"] - (base["sum"] if base else 0.0),
-                "count": row["count"] - (base["count"] if base else 0),
+                "sum": row["sum"] - base["sum"],
+                "count": row["count"] - base["count"],
                 # Streaming min/max are not invertible; ship the
                 # cumulative readings, which min/max-combine correctly.
                 "min": row.get("min"),
                 "max": row.get("max"),
-            })
-        if series:
-            slim = {key: value for key, value in entry.items()
-                    if key != "series"}
-            slim["series"] = series
-            metrics.append(slim)
-    return {"format": SNAPSHOT_FORMAT, "metrics": metrics}
-
-
-def negate_snapshot(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """A snapshot that, merged in, retracts ``snapshot``'s counts.
-
-    The supervisor's rollback primitive: when a worker dies and
-    restarts from a checkpoint, everything its dead incarnation folded
-    into the global registry is retracted with the negated accumulation
-    before the restarted worker re-reports from its checkpoint state —
-    otherwise the replayed stretch would count twice.  Counters and
-    histogram counts/sums negate; gauges are dropped (a last-value
-    reading cannot be "un-observed" — the next heartbeat refreshes it)
-    and so are histogram min/max (not invertible; the global envelope
-    stays conservative).
-    """
-    if snapshot.get("format") != SNAPSHOT_FORMAT:
-        raise ValueError(
-            f"not a {SNAPSHOT_FORMAT} snapshot: {snapshot.get('format')!r}")
-    metrics: List[Dict[str, Any]] = []
-    for entry in snapshot.get("metrics", []):
-        kind = entry["type"]
-        if kind == "gauge":
-            continue
-        series: List[Dict[str, Any]] = []
-        for row in entry.get("series", []):
-            if kind == "counter":
-                if row["value"]:
-                    series.append({"labels": list(row["labels"]),
-                                   "value": -row["value"]})
-                continue
-            counts = [-c for c in row["bucket_counts"]]
-            if not any(counts):
-                continue
-            series.append({
-                "labels": list(row["labels"]),
-                "bucket_counts": counts,
-                "sum": -row["sum"],
-                "count": -row["count"],
-                "min": None,
-                "max": None,
             })
         if series:
             slim = {key: value for key, value in entry.items()

@@ -468,6 +468,18 @@ def _child_context() -> Any:
     return context
 
 
+def _install_fault_spec(fault_spec: Optional[str]) -> None:
+    """Make ``fault_spec``, the parent's chaos-channel value read at
+    launch, this child's.  A forkserver child inherits the *server's*
+    environment, frozen at its first start, so the spec must travel
+    with each launch and replace whatever the inherited variable says.
+    """
+    if fault_spec:
+        os.environ[_PROCESS_FAULT_ENV] = fault_spec
+    else:
+        os.environ.pop(_PROCESS_FAULT_ENV, None)
+
+
 def _supervised_entry(worker: Callable[[Dict[str, Any]], Dict[str, Any]],
                       payload: Dict[str, Any], conn: Any,
                       fault_spec: Optional[str]) -> None:
@@ -477,15 +489,10 @@ def _supervised_entry(worker: Callable[[Dict[str, Any]], Dict[str, Any]],
     a child that dies before sending anything is the supervisor's
     ``crash`` outcome.  Module-level so it pickles.
 
-    ``fault_spec`` is the parent's chaos-channel value at launch time.
-    A forkserver child inherits the *server's* environment, frozen at
-    its first start, so the spec must travel with each launch and
-    replace whatever the inherited variable says.
+    ``fault_spec`` is the parent's chaos-channel value at launch time
+    (see :func:`_install_fault_spec`).
     """
-    if fault_spec:
-        os.environ[_PROCESS_FAULT_ENV] = fault_spec
-    else:
-        os.environ.pop(_PROCESS_FAULT_ENV, None)
+    _install_fault_spec(fault_spec)
     try:
         if fault_spec:
             # Chaos-suite channel: only ever taken under the test env

@@ -25,7 +25,7 @@ Reads come in three shapes, all reporting the first bad frame:
   ``live``, which must keep the interleaving the tap delivered;
 * per record (``read_one``, iteration): one
   :class:`~repro.telescope.records.Observation` at a time — ``serve``
-  and the partition supervisor, which hand records on one by one.
+  and the fused merge, which hand records on one by one.
 
 Bulk and chunked reads share one decode (``_decode``: a single
 ``np.frombuffer`` over ``_RECORD_DTYPE`` plus a vectorised family
@@ -176,8 +176,15 @@ class CaptureCorruptionError(CaptureError):
         super().__init__(
             f"{message} (byte offset {byte_offset}, after "
             f"{records_read} good records)")
+        self.message = message
         self.byte_offset = byte_offset
         self.records_read = records_read
+
+    def __reduce__(self):
+        # Pickles by its constructor arguments, so a partition worker's
+        # error reaches the parent intact.
+        return type(self), (self.message, self.byte_offset,
+                            self.records_read)
 
 
 class NonFiniteTimestampError(ValueError):
@@ -189,6 +196,10 @@ class NonFiniteTimestampError(ValueError):
             f"{source + ' ' if source else ''}capture record {record} "
             f"(byte offset {record_byte_offset(record)}) has a non-finite "
             f"timestamp t={time!r}")
+        self.record, self.time, self.source = record, time, source
+
+    def __reduce__(self):
+        return type(self), (self.record, self.time, self.source)
 
 
 PathOrFile = Union[str, Path, BinaryIO]

@@ -32,8 +32,9 @@ stream, which is what lets the fault-injection suite pin "10% reorder
 within the horizon produces bit-identical events".
 
 Arrivals enter one at a time (:meth:`ReorderBuffer.push`: ``serve`` and
-the partition workers) or as a :class:`~repro.telescope.capture.RecordChunk`
-(:meth:`ReorderBuffer.push_batch`: single-process ``live``).  The batch
+fused ``live``) or as a :class:`~repro.telescope.capture.RecordChunk`
+(:meth:`ReorderBuffer.push_batch`: single-source ``live``, partitioned
+or not).  The batch
 form computes the same per-arrival watermark arithmetic with array
 running maxima, so both give the same late verdicts, release order,
 stats and heap; a batch only materialises the records still held at
@@ -136,6 +137,11 @@ class ReorderBuffer:
         self._m_occupancy_peak = self.metrics.gauge(
             "reorder_buffer_occupancy_peak",
             "High-watermark of reorder-buffer occupancy")
+
+    @property
+    def front(self) -> float:
+        """Largest timestamp pushed so far (-inf before the first)."""
+        return self._front
 
     @property
     def watermark(self) -> float:
@@ -296,29 +302,6 @@ class ReorderBuffer:
     def flush(self) -> List[Observation]:
         """Release everything still buffered, in time order."""
         return self._drain(float("inf"))
-
-    def advance_front(self, time: float) -> List[Observation]:
-        """Advance the stream front from an *external* clock.
-
-        A partitioned live worker's buffer sees only its own keys, so
-        its front — and therefore its watermark — would lag a global
-        buffer's whenever the partition is sparse, releasing records
-        later and judging lateness against a softer boundary.  The
-        parent ships the global stream front alongside every routed
-        record; calling this before each push makes a per-partition
-        buffer behave exactly like the single global buffer restricted
-        to the partition's records (same releases, same late verdicts),
-        which is what the partitioned≡single equivalence contract
-        rests on.  Returns the records the advanced watermark released.
-        """
-        if not math.isfinite(time):
-            raise ValueError(
-                f"non-finite external front t={time!r} would wedge the "
-                f"reorder watermark")
-        if time <= self._front:
-            return []
-        self._front = time
-        return self._drain(self.watermark)
 
     # -- checkpoint support -------------------------------------------------
 

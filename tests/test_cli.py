@@ -912,6 +912,7 @@ class TestGoldenTranscript:
                 "0 restarts, 0 rows replayed\n"
                 "manifest: <dir>/parts/live-manifest.json\n"
                 "replayed 301,562 observations to t=172,800.0s\n"
+                + RECORDS.format(resume="0 resume skipped + ")
                 + LIVE_EVENTS))
 
     def test_serve(self, capsys, drive):

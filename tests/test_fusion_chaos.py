@@ -28,6 +28,7 @@ from repro.live import (
     run_partitioned_live,
 )
 from repro.net.addr import Family
+from repro.obs.metrics import MetricsRegistry
 from repro.telescope.capture import CaptureWriter
 from repro.telescope.records import Observation
 from repro.testing.faults import vantage_brownout
@@ -130,8 +131,8 @@ def attributable(candidate, baseline):
                        for b_key, b_left, b_right in baseline)]
 
 
-def run_single_live(model, captures, start):
-    detector = FusedStreamingDetector(model, start)
+def run_single_live(model, captures, start, metrics=None):
+    detector = FusedStreamingDetector(model, start, metrics=metrics)
     engine = LiveBlockEngine(detector)
     end_seen = start
     for observation in merge_tagged_captures(captures,
@@ -283,10 +284,13 @@ class TestLiveBlinding:
     def test_partitioned_matches_single_process_healthy(self, chaos_setup):
         model = chaos_setup["model"]
         captures = chaos_setup["captures_healthy"]
+        single_reg, part_reg = MetricsRegistry(), MetricsRegistry()
         single, single_health = run_single_live(model, captures,
-                                                chaos_setup["eval_start"])
+                                                chaos_setup["eval_start"],
+                                                metrics=single_reg)
         result = run_partitioned_live(model, captures, partitions=3,
-                                      reorder_horizon=30.0)
+                                      reorder_horizon=30.0,
+                                      metrics=part_reg)
         assert set(single) == set(result.results)
         for key in sorted(single):
             ours, theirs = single[key], result.results[key]
@@ -299,12 +303,21 @@ class TestLiveBlinding:
                     for name, source in result.health.sources.items()})
         assert (single_health.sentinel_windows
                 == result.health.sentinel_windows)
+        # Vantage counters: every worker's monitors see the whole tap,
+        # so they count once; gated bins are per block and sum.
+        for name in ("fusion_observations_total", "fusion_source_bins_total",
+                     "fusion_gated_bins_total"):
+            assert (single_reg.get(name).series()
+                    and [(labels, child.value) for labels, child
+                         in single_reg.get(name).series()]
+                    == [(labels, child.value) for labels, child
+                        in part_reg.get(name).series()]), name
 
     def test_partitioned_rejects_non_finite_record_before_routing(
             self, chaos_setup, tmp_path):
         """A NaN in one vantage's capture is named by that capture's
-        record index in the parent, not raised by whichever worker it
-        would have been routed to."""
+        record index, as the single-process merge names it, not
+        reported as a worker failure."""
         from repro.telescope.capture import (NonFiniteTimestampError,
                                              read_batches, write_batches)
 
@@ -326,8 +339,8 @@ class TestLiveBlinding:
     def test_partitioned_rejects_backwards_record_before_routing(
             self, chaos_setup, tmp_path):
         """With no reorder horizon, a record behind the merged stream
-        front fails in the parent with the single-process engine's
-        error, not inside whichever worker owns its block."""
+        front fails with the single-process engine's error, not as a
+        worker failure."""
         from repro.telescope.capture import read_batches, write_batches
 
         captures = dict(chaos_setup["captures_healthy"])
@@ -355,8 +368,8 @@ class TestLiveBlinding:
         single, single_health = run_single_live(model, captures, start)
         result = run_partitioned_live(model, captures, partitions=3,
                                       reorder_horizon=30.0)
-        # Identical through the fault: every worker's whole-tap monitor
-        # saw the same vbin rows the single engine derived itself.
+        # Identical through the fault: every worker's monitors saw the
+        # same whole tap the single engine saw.
         assert set(single) == set(result.results)
         for key in sorted(single):
             ours, theirs = single[key], result.results[key]

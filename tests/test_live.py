@@ -67,6 +67,19 @@ def live_setup(tmp_path_factory):
     return capture, load_model(model_path)
 
 
+@pytest.fixture(scope="module")
+def foreign_family_setup(tmp_path_factory):
+    """An IPv4 model over a capture that also carries IPv6 traffic."""
+    root = tmp_path_factory.mktemp("foreign")
+    capture = str(root / "capture.pobs")
+    model_path = str(root / "model.json")
+    assert main(["simulate", "--blocks", "12", "--v6-blocks", "6",
+                 "--days", "2", "--seed", "5", "--out", capture]) == 0
+    assert main(["train", capture, "--train-end", str(DAY),
+                 "--out", model_path]) == 0
+    return capture, load_model(model_path)
+
+
 def run_single(model, capture, *, horizon=2.0, drift=DRIFT):
     registry = MetricsRegistry()
     detector = StreamingDetector(model.family, model.histories,
@@ -143,11 +156,14 @@ class TestEquivalence:
         assert not result.degraded
         assert result.restarts == 0
 
-    def test_cli_live_matches_partitioned_cli(self, live_setup, tmp_path,
-                                              capsys):
-        """The columnar single-process CLI path against partitioned
-        workers, which still feed record by record."""
-        capture, _ = live_setup
+    @pytest.mark.parametrize("setup", ["live_setup", "foreign_family_setup"])
+    def test_cli_live_matches_partitioned_cli(self, setup, tmp_path, capsys,
+                                              request):
+        """The single-process CLI path against partitioned workers: the
+        same events, counters and ``records:`` line, on a capture of
+        the model's family and on one that also carries IPv6 records
+        the IPv4 model has no blocks for."""
+        capture, _ = request.getfixturevalue(setup)
         model_path = os.path.join(os.path.dirname(capture), "model.json")
         runs = {}
         for name, extra in (("single", []),
@@ -169,7 +185,8 @@ class TestEquivalence:
                                                  "reorder_records_total"]
                 for series in family["series"]}
             runs[name] = ([line for line in out.splitlines()
-                           if line.startswith(("  block", "replayed"))
+                           if line.startswith(("  block", "replayed",
+                                               "records:"))
                            or line.endswith("outage events >= 300s")],
                           counters)
         assert runs["single"] == runs["partitioned"]
@@ -198,39 +215,6 @@ class TestEquivalence:
         assert first.digest == second.digest
         assert ([p.keys for p in first.partitions]
                 == [p.keys for p in second.partitions])
-
-
-class TestReorderFront:
-    def test_external_front_matches_in_band_advance(self):
-        local = ReorderBuffer(10.0, LatePolicy.COUNT)
-        peer = ReorderBuffer(10.0, LatePolicy.COUNT)
-        rows = [Observation(t, Family.IPV4, 1 << 8)
-                for t in (0.0, 5.0, 3.0, 12.0, 8.0, 30.0)]
-        released_local, released_peer = [], []
-        for row in rows:
-            released_local.extend(local.push(row))
-            # The peer holds a partition that owns none of the traffic:
-            # it sees only the external front, never the records.
-            released_peer.extend(peer.advance_front(row.time))
-            if row.block_key == 1:
-                released_peer.extend(peer.push(row))
-        # Same front, same watermark, same release order.
-        assert [r.time for r in released_local] == [r.time
-                                                    for r in released_peer]
-        assert local.watermark == peer.watermark
-
-    def test_external_front_never_regresses(self):
-        buffer = ReorderBuffer(5.0, LatePolicy.COUNT)
-        buffer.advance_front(100.0)
-        assert buffer.advance_front(50.0) == []
-        assert buffer.watermark == 95.0
-
-    def test_non_finite_front_is_rejected(self):
-        buffer = ReorderBuffer(5.0, LatePolicy.COUNT)
-        with pytest.raises(ValueError):
-            buffer.advance_front(float("nan"))
-        with pytest.raises(ValueError):
-            buffer.advance_front(float("inf"))
 
 
 class TestRollingAuditor:
@@ -494,6 +478,26 @@ class TestPartitionedCLI:
         with pytest.raises(ValueError):
             LivePartitionSupervisor(model, partitions=2,
                                     reorder_horizon=-1.0)
+
+
+class TestWorkerCaptureErrors:
+    def test_corrupt_frame_raises_the_single_process_error(self, live_setup,
+                                                           tmp_path):
+        """Workers read the capture themselves; a corrupt frame reaches
+        the caller as the reader's own error, not as a worker failure."""
+        from repro.telescope.capture import CaptureCorruptionError
+
+        capture, model = live_setup
+        records = (os.path.getsize(capture) - 8) // 27
+        cut = tmp_path / "cut.pobs"
+        with open(capture, "rb") as handle:
+            cut.write_bytes(handle.read(8 + 27 * (records * 3 // 4) + 13))
+        with pytest.raises(CaptureCorruptionError) as single:
+            list(CaptureReader(str(cut)))
+        with pytest.raises(CaptureCorruptionError) as partitioned:
+            LivePartitionSupervisor(model, partitions=2,
+                                    reorder_horizon=2.0).run(str(cut))
+        assert str(partitioned.value) == str(single.value)
 
 
 class TestLiveStatusAccessor:

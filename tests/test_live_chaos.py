@@ -8,9 +8,9 @@ dying exhausts its restart budget and degrades to *lost coverage*
 its siblings keep advancing.  SIGTERM is an operator action, not a
 failure: both deployment shapes flush checkpoints and exit 0.
 
-Faults reach spawned workers through the test-only environment channel
-(:data:`repro.testing.faults.PROCESS_FAULT_ENV`) with window-deferred
-triggers — a streaming worker has no shard entry to fault, so chaos
+Faults reach partition workers through the test-only environment
+channel (:data:`repro.testing.faults.PROCESS_FAULT_ENV`), read at each
+launch, with window-deferred triggers — a streaming worker has no shard entry to fault, so chaos
 keys off ``windows_closed`` progress instead.
 """
 
@@ -33,6 +33,7 @@ from repro.obs.tracing import SpanTracer
 from repro.parallel import SupervisionPolicy
 from repro.telescope.capture import CaptureReader, CaptureWriter
 from repro.testing.faults import (
+    PROCESS_FAULT_ENV,
     after_windows,
     crash_on_block,
     process_fault_env,
@@ -121,8 +122,8 @@ class TestCrashRestart:
                    counter_dir=tmp_path / "counters")
         result, registry, _ = run_partitioned(model, capture,
                                               tmp_path / "ckpt")
-        # The worker died once, restarted from its checkpoint, and the
-        # parent replayed exactly the gap since that checkpoint.
+        # The worker died once, restarted from its checkpoint, and
+        # re-read the tap from that checkpoint's position.
         assert result.restarts == 1
         assert result.replayed_rows > 0
         assert not result.degraded
@@ -207,22 +208,19 @@ class TestGracefulShutdown:
         capture, _, model = live_setup
         baseline, base_reg = clean_baseline
         ckpt = tmp_path / "ckpt"
-        # Stop halfway through the *live* half of the capture, so every
-        # worker demonstrably holds mid-stream state when told to quit.
-        from repro.telescope.capture import CaptureReader
-
-        with CaptureReader(capture) as reader:
-            times = [observation.time for observation in reader]
-        live = sum(1 for t in times if t >= model.train_end)
-        threshold = (len(times) - live) + live // 2
-        seen = {"count": 0}
-
-        def stop_mid_live():
-            seen["count"] += 1
-            return seen["count"] > threshold
-
-        interrupted, _, _ = run_partitioned(model, capture, ckpt,
-                                            stop=stop_mid_live)
+        # Stop once every worker is a quarter into the *live* half of
+        # the capture, so each demonstrably holds mid-stream state when
+        # told to quit.  Workers read the capture themselves, so the
+        # stop keys off their reported watermarks.
+        quarter = model.train_end + DAY / 4
+        os.makedirs(ckpt, exist_ok=True)
+        supervisor = LivePartitionSupervisor(
+            model, partitions=4, policy=SupervisionPolicy(**FAST_POLICY),
+            checkpoint_dir=str(ckpt), checkpoint_every=1800.0,
+            reorder_horizon=2.0, drift=DRIFT, metrics=MetricsRegistry(),
+            stop_requested=lambda: (supervisor.live_status()
+                                    .global_watermark >= quarter))
+        interrupted = supervisor.run(capture)
         assert interrupted.interrupted
         manifest = json.loads((ckpt / "live-manifest.json").read_text())
         assert manifest["status"] == "interrupted"
@@ -367,8 +365,8 @@ class TestObservabilityPlane:
         result, registry, _, _, supervisor = observed_crash_run
         _, base_reg = clean_doctored_run
         assert result.restarts == 1 and not result.degraded
-        # Heartbeat deltas actually folded mid-run (not just the final
-        # document), and the shadow rollback kept totals exact.
+        # Heartbeat snapshots actually folded mid-run (not just the
+        # final document), and folding by difference kept totals exact.
         assert any(p.folded_metrics_seq for p in supervisor.partitions)
         for name in COUNTERS:
             assert registry.value(name) == base_reg.value(name), name
@@ -423,7 +421,10 @@ class TestObservabilityPlane:
             assert row["watermark_lag"] >= 0.0
         assert document["global_watermark"] <= document["stream_front"]
 
-    def test_piggyback_fold_is_idempotent(self, live_setup):
+    def test_redelivered_heartbeat_folds_once(self, live_setup):
+        """Heartbeats carry cumulative snapshots folded by difference,
+        so a re-delivered one changes no total; explain events fold
+        once by their seq."""
         _, _, model = live_setup
         supervisor = LivePartitionSupervisor(
             model, partitions=2, metrics=MetricsRegistry(),
@@ -431,11 +432,44 @@ class TestObservabilityPlane:
         partition = supervisor.partitions[0]
         worker = MetricsRegistry()
         worker.counter("stream_observations_total", "rows").inc(5)
-        info = {"metrics_seq": 1, "metrics_delta": worker.snapshot(),
+        worker.counter("stream_bins_total", "bins").inc(3)
+        info = {"beat": 1, "metrics": worker.snapshot(),
                 "explain": [{"event": "onset", "block": 1, "seq": 1}]}
         for _ in range(3):  # re-delivered heartbeat folds exactly once
             supervisor._fold_piggyback(partition, info)
         assert supervisor.metrics.value("stream_observations_total") == 5
+        assert supervisor.metrics.value("stream_bins_total") == 3
         assert len(supervisor.explain) == 1
         assert partition.folded_metrics_seq == 1
         assert partition.explain_folded_seq == 1
+        # A sibling's snapshot adds its block-scoped counts only: the
+        # tap-scoped ones come from the lowest-index partition alone.
+        supervisor._fold_piggyback(supervisor.partitions[1],
+                                   {"beat": 1, "metrics": worker.snapshot()})
+        assert supervisor.metrics.value("stream_observations_total") == 5
+        assert supervisor.metrics.value("stream_bins_total") == 6
+
+
+class TestFaultSpecPerLaunch:
+    def test_spec_is_read_at_each_launch_not_inherited(
+            self, live_setup, tmp_path, monkeypatch):
+        """Partition workers fork from a long-lived forkserver whose
+        environment froze at its first start.  The fault spec must
+        travel with each launch: clean, faulty and clean runs in one
+        process must restart the victim's partition in the faulty run
+        only, whichever environment the server started with."""
+        capture, _, model = live_setup
+        victim = sorted(model.parameters)[0]
+        restarts = []
+        for run, faulty in enumerate((False, True, False)):
+            if faulty:
+                set_faults(monkeypatch,
+                           after_windows(crash_on_block(victim, times=1),
+                                         50),
+                           counter_dir=tmp_path / "counters")
+            else:
+                monkeypatch.delenv(PROCESS_FAULT_ENV, raising=False)
+            result, _, _ = run_partitioned(model, capture,
+                                           tmp_path / f"ckpt{run}")
+            restarts.append(result.restarts)
+        assert restarts == [0, 1, 0]

@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     diff_snapshots,
     get_registry,
     log_spaced_buckets,
-    negate_snapshot,
     render_snapshot,
     resolve_registry,
     set_registry,
@@ -446,7 +445,7 @@ class TestGaugeMergePolicy:
 
 
 class TestSnapshotArithmetic:
-    """diff/negate: the heartbeat-delta encoding and its rollback."""
+    """diff: the cumulative-snapshot fold and its rollback."""
 
     def build(self, hits=0, lag=0.0, observations=()):
         registry = MetricsRegistry()
@@ -499,38 +498,43 @@ class TestSnapshotArithmetic:
         assert parent_deltas.snapshot() == parent_full.snapshot()
 
     def test_negate_retracts_a_merged_snapshot(self):
+        # A lost worker's contribution: diffing the empty snapshot
+        # against what was folded negates, and so retracts, every count
+        # it added.
         worker = self.build(hits=5, lag=9.0, observations=(0.05, 5.0))
         parent = MetricsRegistry()
         parent.merge_snapshot(worker.snapshot())
-        parent.merge_snapshot(negate_snapshot(worker.snapshot()))
+        parent.merge_snapshot(diff_snapshots(MetricsRegistry().snapshot(),
+                                             worker.snapshot()))
         assert parent.value("hits_total", kind="exact") == 0
         entry = [e for e in parent.snapshot()["metrics"]
                  if e["name"] == "latency_seconds"][0]
         assert entry["series"][0]["count"] == 0
         assert not any(entry["series"][0]["bucket_counts"])
         # Gauges are not retracted: a last-value reading cannot be
-        # "un-observed"; the next heartbeat refreshes it.
+        # "un-observed"; the next report refreshes it.
         assert parent.value("lag_seconds") == 9.0
 
     def test_restart_rollback_does_not_double_count(self):
         # The supervisor's restart sequence in miniature: fold two
-        # deltas, retract the incarnation's shadow, then fold the
-        # restarted worker's full first delta — counts match a clean
-        # single-incarnation run exactly.
+        # cumulative snapshots by difference, then the restarted
+        # worker's (restored from an older checkpoint, then advanced):
+        # the difference rolls the replayed stretch back, so counts
+        # match a clean single-incarnation run exactly.
         worker = self.build()
-        parent, shadow, baseline = MetricsRegistry(), MetricsRegistry(), None
+        parent, folded = MetricsRegistry(), None
         for _ in range(2):
             worker.get("hits_total").labels(kind="exact").inc(2)
             current = worker.snapshot()
-            delta = diff_snapshots(current, baseline)
-            parent.merge_snapshot(delta)
-            shadow.merge_snapshot(delta)
-            baseline = current
+            parent.merge_snapshot(diff_snapshots(current, folded))
+            folded = current
         # The worker dies; the checkpoint held only the first increment.
-        parent.merge_snapshot(negate_snapshot(shadow.snapshot()))
         restarted = self.build(hits=2)  # restored from the checkpoint
+        current = restarted.snapshot()
+        parent.merge_snapshot(diff_snapshots(current, folded))
+        assert parent.value("hits_total", kind="exact") == 2
         restarted.get("hits_total").labels(kind="exact").inc(2)
-        parent.merge_snapshot(diff_snapshots(restarted.snapshot(), None))
+        parent.merge_snapshot(diff_snapshots(restarted.snapshot(), current))
         assert parent.value("hits_total", kind="exact") == 4
 
     def test_diff_rejects_wrong_format(self):
@@ -539,8 +543,6 @@ class TestSnapshotArithmetic:
             diff_snapshots({"format": "nope"}, None)
         with pytest.raises(ValueError, match="snapshot"):
             diff_snapshots(good, {"format": "nope"})
-        with pytest.raises(ValueError, match="snapshot"):
-            negate_snapshot({"format": "nope"})
 
 
 class TestConcurrentExposition:
